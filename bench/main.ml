@@ -15,8 +15,8 @@
    run to also write every benchmark × config record (metrics plus the
    per-stage compile trace) as a JSON array, and diff two such files with
 
-     dune exec bench/main.exe -- table2-ft --json BENCH_pr1.json
-     dune exec bench/main.exe -- compare BENCH_pr0.json BENCH_pr1.json *)
+     dune exec bench/main.exe -- table2-ft --json new.json
+     dune exec bench/main.exe -- compare old.json new.json *)
 
 open Paulihedral
 open Ph_pauli_ir
@@ -58,8 +58,8 @@ let write_json path =
 
 (* At warn level the linter never fails a run; its findings and wall
    time land in the compile trace, so `--json` records carry
-   lint_errors / lint_warnings / lint_s and `compare` can report the
-   lint-time overhead between two reports. *)
+   lint_errors / lint_warnings and a lint span, and `compare` can report
+   the lint-time overhead between two reports. *)
 let lint_enabled = ref false
 let lint_level () = if !lint_enabled then Lint.Diag.Warn else Lint.Diag.Off
 
@@ -767,16 +767,16 @@ let compare_reports ?fail_on a_path b_path =
   let a = load a_path and b = load b_path in
   Printf.printf "=== compare: %s (A) vs %s (B) ===\n" a_path b_path;
   Printf.printf "%-14s %-22s %10s %10s %10s %10s %8s %8s %8s %8s %8s %8s\n"
-    "benchmark" "config" "cnot" "total" "depth" "time" "sched" "synth" "gc"
+    "benchmark" "config" "cnot" "total" "depth" "time" "sched" "synth" "alloc"
     "lint" "gapA" "gapB";
   let ratios_cnot = ref [] and ratios_total = ref [] in
   let ratios_depth = ref [] and ratios_time = ref [] in
   let ratios_sched = ref [] and ratios_synth = ref [] in
-  let ratios_gc = ref [] and ratios_lint = ref [] in
+  let ratios_alloc = ref [] and ratios_lint = ref [] in
   let ratios_gap = ref [] in
   let matched = ref 0 in
   (* Cells dropped from the geomeans because one side is zero or absent
-     (stage didn't run, metric predates the telemetry).  Skipping is
+     (stage didn't run, record carries no analysis).  Skipping is
      correct — a 0 → x cell has no meaningful ratio and would make the
      geomean degenerate — but it must be visible, not silent. *)
   let skipped = ref 0 in
@@ -799,9 +799,8 @@ let compare_reports ?fail_on a_path b_path =
         ratio (fun (m : Report.metrics) -> float_of_int m.Report.total) ratios_total;
         ratio (fun (m : Report.metrics) -> float_of_int m.Report.depth) ratios_depth;
         ratio (fun (m : Report.metrics) -> m.Report.seconds) ratios_time;
-        (* wall-time / allocation ratios of individual stages: defined
-           only when both reports have a nonzero measurement (the stage
-           ran, and the record postdates the telemetry) *)
+        (* span wall-time / allocation ratios: defined only when both
+           reports have a nonzero measurement (the stage ran) *)
         let stage_ratio va vb store =
           if va > 0. && vb > 0. then begin
             store := (vb /. va) :: !store;
@@ -812,26 +811,21 @@ let compare_reports ?fail_on a_path b_path =
             "-"
           end
         in
-        let sched =
-          stage_ratio ra.Report.trace.Report.schedule_s
-            rb.Report.trace.Report.schedule_s ratios_sched
+        let wall stage (r : Report.record) =
+          (Report.span_of r.Report.trace.Report.spans stage).Report.wall_s
         in
-        let synth =
-          stage_ratio ra.Report.trace.Report.synthesis_s
-            rb.Report.trace.Report.synthesis_s ratios_synth
+        let alloc (r : Report.record) =
+          List.fold_left
+            (fun n (sp : Report.span) -> n +. float_of_int sp.Report.alloc_words)
+            0. r.Report.trace.Report.spans
         in
-        let gc =
-          stage_ratio
-            (Report.trace_gc_words ra.Report.trace)
-            (Report.trace_gc_words rb.Report.trace)
-            ratios_gc
-        in
-        let lint =
-          stage_ratio ra.Report.trace.Report.lint_s rb.Report.trace.Report.lint_s
-            ratios_lint
-        in
+        let stage_wall stage store = stage_ratio (wall stage ra) (wall stage rb) store in
+        let sched = stage_wall "schedule" ratios_sched in
+        let synth = stage_wall "synthesis" ratios_synth in
+        let alloc = stage_ratio (alloc ra) (alloc rb) ratios_alloc in
+        let lint = stage_wall "lint" ratios_lint in
         (* total-gap ratio of each side; "n/a" (never a fake 0.00) when a
-           record predates the analyzer or its floor is zero *)
+           record carries no analysis or its floor is zero *)
         let gap (r : Report.record) =
           match r.Report.trace.Report.analysis with
           | Some { Analysis.Gap.gap_total = Some g; _ } -> Some g
@@ -853,7 +847,7 @@ let compare_reports ?fail_on a_path b_path =
           (pct ma.Report.depth mb.Report.depth)
           (if ma.Report.seconds > 0. then mb.Report.seconds /. ma.Report.seconds
            else nan)
-          sched synth gc lint (gap_cell ga) (gap_cell gb))
+          sched synth alloc lint (gap_cell ga) (gap_cell gb))
     a;
   (* Rows present in only one report used to vanish silently, hiding
      added/removed benchmarks (and typoed config names) from the diff. *)
@@ -887,7 +881,7 @@ let compare_reports ?fail_on a_path b_path =
     gm "time" !ratios_time;
     gm "sched" !ratios_sched;
     gm "synth" !ratios_synth;
-    gm "gc" !ratios_gc;
+    gm "alloc" !ratios_alloc;
     gm "lint" !ratios_lint;
     gm "gap" !ratios_gap;
     if !skipped > 0 then
@@ -1014,7 +1008,9 @@ let scale_table filters =
         let ph = compiled Config.Depth_oriented "scale/PH" in
         let phx = compiled Config.Phoenix_like "scale/PHX" in
         let sched c =
-          Printf.sprintf "%.3f" c.c_record.Report.trace.Report.schedule_s
+          Printf.sprintf "%.3f"
+            (Report.span_of c.c_record.Report.trace.Report.spans "schedule")
+              .Report.wall_s
         in
         ( [ ph; phx ],
           [
@@ -1054,7 +1050,7 @@ let usage () =
     \       main.exe history import FILE.json --commit LABEL [--db FILE]\n\
     \       main.exe history show [--db FILE] [--counter NAME] [--last N]\n\
     \       main.exe history compare A B [--db FILE]   (commit labels or .json reports)\n\
-    \       main.exe history gate [--db FILE] [--candidate FILE.csv] [--against LABEL] [--suite ft|sc|scale|all] [--threshold PCT]";
+    \       main.exe history gate [--db FILE] [--candidate FILE.csv|FILE.json] [--against LABEL] [--suite ft|sc|scale|all] [--threshold PCT]";
   exit 1
 
 (* ---------- history: per-commit deterministic counter db ---------- *)
@@ -1270,6 +1266,7 @@ let history_entry args =
     end;
     let cand_label, cand_rows =
       match candidate with
+      | Some file when Filename.check_suffix file ".json" -> history_operand db file
       | Some file ->
         let cdb = Ph_perf.Db.load file in
         let c = last_commit cdb in

@@ -428,7 +428,10 @@ let run_lint file backend device schedule params json =
                 "errors", Json.Int (List.length errors);
                 ( "warnings",
                   Json.Int (List.length (Lint.Diag.warnings diags)) );
-                "lint_s", Json.Float out.Compiler.trace.Report.lint_s;
+                ( "lint_s",
+                  Json.Float
+                    (Report.span_of out.Compiler.trace.Report.spans "lint")
+                      .Report.wall_s );
                 "diagnostics", Json.List (List.map Lint.Diag.to_json diags);
               ]))
     else begin

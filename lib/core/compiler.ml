@@ -41,23 +41,6 @@ let schedule_layers config prog =
     let layers = List.map Layer.of_block (Program.blocks prog) in
     layers, (List.length layers, 0)
 
-(* Accumulator for the verify-each checkers: when linting is enabled,
-   [run] times one checker and appends its findings in stage order. *)
-type lint_acc = {
-  enabled : bool;
-  mutable diags : Ph_lint.Diag.t list;
-  mutable seconds : float;
-  mutable gc : Report.gc_delta;
-}
-
-let lint_run acc check =
-  if acc.enabled then begin
-    let diags, dt, gc = Report.timed_gc check in
-    acc.diags <- acc.diags @ diags;
-    acc.seconds <- acc.seconds +. dt;
-    acc.gc <- Report.gc_add acc.gc gc
-  end
-
 let compile config prog =
   (match config.Config.backend, config.Config.schedule with
   | Config.Ion_trap, Config.Phoenix_like ->
@@ -80,16 +63,18 @@ let compile config prog =
   | Config.Ft | Config.Ion_trap -> ());
   let perf0 = Ph_perf.Counter.snapshot () in
   let t0 = Unix.gettimeofday () in
-  let acc =
-    {
-      enabled = config.Config.lint <> Ph_lint.Diag.Off;
-      diags = [];
-      seconds = 0.;
-      gc = Report.empty_gc;
-    }
+  let clock = Report.clock () in
+  let time stage f = Report.time clock stage f in
+  (* the verify-each checkers: when linting is enabled, each one is
+     timed into the [lint] span and its findings appended in stage
+     order *)
+  let diags = ref [] in
+  let lint_run check =
+    if config.Config.lint <> Ph_lint.Diag.Off then
+      diags := !diags @ time "lint" check
   in
   (* stage -1: the configuration itself *)
-  lint_run acc (fun () ->
+  lint_run (fun () ->
       let backend_view =
         match config.Config.backend with
         | Config.Ft -> Ph_lint.Check_config.Ft_view
@@ -99,56 +84,51 @@ let compile config prog =
       Ph_lint.Check_config.check ~backend:backend_view
         ~peephole:config.Config.peephole);
   (* stage 0: the input Pauli IR *)
-  lint_run acc (fun () -> Ph_lint.Check_ir.program prog);
+  lint_run (fun () -> Ph_lint.Check_ir.program prog);
   (* stage 0.5 (Phoenix only): the high-level IR optimizer — grouping,
      simultaneous diagonalization, fusion.  Everything downstream of
      this point (scheduling, lint, the certificate) sees the rewritten
-     program; the optimizer's own time and allocation are reported
-     separately and fold into the schedule stage totals. *)
-  let opt, opt_s, opt_gc =
+     program. *)
+  let opt =
     match config.Config.schedule with
-    | Config.Phoenix_like ->
-      let o, s, gc = Report.timed_gc (fun () -> Ph_opt.Pass.run prog) in
-      Some o, s, gc
-    | _ -> None, 0., Report.empty_gc
+    | Config.Phoenix_like -> Some (time "opt" (fun () -> Ph_opt.Pass.run prog))
+    | _ -> None
   in
   let sched_program =
     match opt with Some o -> o.Ph_opt.Pass.program | None -> prog
   in
   (match opt with
-  | Some o -> lint_run acc (fun () -> Ph_lint.Check_ir.program o.Ph_opt.Pass.program)
+  | Some o -> lint_run (fun () -> Ph_lint.Check_ir.program o.Ph_opt.Pass.program)
   | None -> ());
   (* stage 1: block scheduling *)
-  let (layers, (sched_layers, sched_padded)), schedule_s, schedule_gc =
-    Report.timed_gc (fun () -> schedule_layers config sched_program)
+  let layers, (sched_layers, sched_padded) =
+    time "schedule" (fun () -> schedule_layers config sched_program)
   in
-  lint_run acc (fun () -> Ph_lint.Check_schedule.check ~program:sched_program layers);
+  lint_run (fun () -> Ph_lint.Check_schedule.check ~program:sched_program layers);
   let peephole c =
     if config.Config.peephole then
-      Report.timed_gc (fun () -> Peephole.optimize_stats c)
-    else (c, { Peephole.removed = 0; rounds = 0 }), 0., Report.empty_gc
+      time "peephole" (fun () -> Peephole.optimize_stats c)
+    else c, { Peephole.removed = 0; rounds = 0 }
   in
   (* stage 2+3: backend synthesis (plus hardware replay on SC), then the
      generic cleanup *)
-  let circuit, rotations, initial_layout, final_layout, timings, gcs, counters =
+  let circuit, rotations, initial_layout, final_layout, counters =
     match config.Config.backend with
     | Config.Ft ->
-      let r, synthesis_s, synthesis_gc =
-        Report.timed_gc (fun () ->
+      let r =
+        time "synthesis" (fun () ->
             match opt with
             | Some o ->
               Ph_opt.Phoenix_backend.synthesize_ft
                 ~n_qubits:(Program.n_qubits prog) o
             | None -> Ft_backend.synthesize ~n_qubits:(Program.n_qubits prog) layers)
       in
-      lint_run acc (fun () -> Ph_lint.Check_gates.circuit r.Emit.circuit);
-      let (c, pstats), peephole_s, peephole_gc = peephole r.Emit.circuit in
+      lint_run (fun () -> Ph_lint.Check_gates.circuit r.Emit.circuit);
+      let c, pstats = peephole r.Emit.circuit in
       ( c,
         r.Emit.rotations,
         None,
         None,
-        (schedule_s, synthesis_s, 0., peephole_s),
-        (synthesis_gc, Report.empty_gc, peephole_gc),
         {
           Report.sched_layers;
           sched_padded;
@@ -158,8 +138,8 @@ let compile config prog =
           peephole_rounds = pstats.Peephole.rounds;
         } )
     | Config.Sc { coupling; noise } ->
-      let r, synthesis_s, synthesis_gc =
-        Report.timed_gc (fun () ->
+      let r =
+        time "synthesis" (fun () ->
             match opt with
             | Some o ->
               (* a noise model only disables caching upstream; the
@@ -170,21 +150,17 @@ let compile config prog =
               Sc_backend.synthesize ?noise ~coupling
                 ~n_qubits:(Program.n_qubits prog) layers)
       in
-      lint_run acc (fun () -> Ph_lint.Check_gates.circuit r.Sc_backend.circuit);
-      lint_run acc (fun () ->
+      lint_run (fun () -> Ph_lint.Check_gates.circuit r.Sc_backend.circuit);
+      lint_run (fun () ->
           Ph_lint.Check_sc.check ~coupling ~initial:r.Sc_backend.initial_layout
             ~final:r.Sc_backend.final_layout ~claimed_swaps:r.Sc_backend.swaps
             r.Sc_backend.circuit);
-      let c, swap_decompose_s, swap_gc =
-        Report.timed_gc (fun () -> Circuit.decompose_swaps r.Sc_backend.circuit)
-      in
-      let (c, pstats), peephole_s, peephole_gc = peephole c in
+      let c = time "swap" (fun () -> Circuit.decompose_swaps r.Sc_backend.circuit) in
+      let c, pstats = peephole c in
       ( c,
         r.Sc_backend.rotations,
         Some r.Sc_backend.initial_layout,
         Some r.Sc_backend.final_layout,
-        (schedule_s, synthesis_s, swap_decompose_s, peephole_s),
-        (synthesis_gc, swap_gc, peephole_gc),
         {
           Report.sched_layers;
           sched_padded;
@@ -198,17 +174,15 @@ let compile config prog =
          generic peephole stage is not run (Config.ion_trap defaults
          [peephole = false], and CFG001 warns when a config claims
          otherwise) *)
-      let r, synthesis_s, synthesis_gc =
-        Report.timed_gc (fun () ->
+      let r =
+        time "synthesis" (fun () ->
             Ion_trap.synthesize ~n_qubits:(Program.n_qubits prog) layers)
       in
-      lint_run acc (fun () -> Ph_lint.Check_gates.circuit r.Emit.circuit);
+      lint_run (fun () -> Ph_lint.Check_gates.circuit r.Emit.circuit);
       ( r.Emit.circuit,
         r.Emit.rotations,
         None,
         None,
-        (schedule_s, synthesis_s, 0., 0.),
-        (synthesis_gc, Report.empty_gc, Report.empty_gc),
         {
           Report.empty_counters with
           Report.sched_layers;
@@ -219,31 +193,24 @@ let compile config prog =
   (* stage 4: the final circuit — structural invariants must have
      survived SWAP decomposition and cleanup, and the Pauli-frame
      spot-check ties the whole pipeline back to the rotation trace *)
-  lint_run acc (fun () ->
+  lint_run (fun () ->
       Ph_lint.Check_gates.circuit ~post_peephole:config.Config.peephole circuit);
-  lint_run acc (fun () ->
+  lint_run (fun () ->
       let layouts =
         match initial_layout, final_layout with
         | Some i, Some f -> Some (i, f)
         | _ -> None
       in
       Ph_lint.Check_frame.check ?layouts ~rotations circuit);
-  let schedule_s, synthesis_s, swap_decompose_s, peephole_s = timings in
-  (* the optimizer is part of the scheduling family's work; its time
-     folds into the schedule stage total (the "opt" gc entry keeps its
-     allocation separately attributable) *)
-  let schedule_s = opt_s +. schedule_s in
-  let synthesis_gc, swap_gc, peephole_gc = gcs in
   let metrics = Report.of_circuit circuit in
   (* stage 5 (opt-in): the static analyzer — bounds and gap diagnostics
      run inside the compile window so their work counters land in
-     [trace.perf]; findings are appended regardless of the lint level
-     ([Config.analyze] is its own switch), and the time folds into
-     [lint_s] alongside the other checkers *)
+     [trace.perf] and its own [analysis] span; findings are appended
+     regardless of the lint level ([Config.analyze] is its own switch) *)
   let analysis =
     if config.Config.analyze then begin
-      let (summary, diags), ana_s, ana_gc =
-        Report.timed_gc (fun () ->
+      let summary, ana_diags =
+        time "analysis" (fun () ->
             let bounds = Ph_analysis.Bounds.of_program prog in
             let summary =
               Ph_analysis.Gap.summarize ~cnot:metrics.Report.cnot
@@ -254,31 +221,14 @@ let compile config prog =
               Ph_analysis.Gap.diagnose ~threshold:config.Config.gap_threshold
                 summary ))
       in
-      acc.diags <- acc.diags @ diags;
-      acc.seconds <- acc.seconds +. ana_s;
-      acc.gc <- Report.gc_add acc.gc ana_gc;
+      diags := !diags @ ana_diags;
       Some summary
     end
     else None
   in
   let seconds = Unix.gettimeofday () -. t0 in
   let perf1 = Ph_perf.Counter.snapshot () in
-  (* Minor-heap words are an exact count of the calling domain's
-     allocation, so the [alloc_*] entries are reproducible for a fixed
-     compiler binary; they still shift across compiler versions, which
-     is why [Counter.gated] excludes them from the regression gate. *)
-  let alloc (g : Report.gc_delta) = int_of_float g.Report.minor_words in
-  let perf =
-    Ph_perf.Counter.compile_assoc ~before:perf0 ~after:perf1
-    @ [
-        "alloc_opt_words", alloc opt_gc;
-        "alloc_schedule_words", alloc schedule_gc;
-        "alloc_synthesis_words", alloc synthesis_gc;
-        "alloc_swap_words", alloc swap_gc;
-        "alloc_peephole_words", alloc peephole_gc;
-        "alloc_lint_words", alloc acc.gc;
-      ]
-  in
+  let perf = Ph_perf.Counter.compile_assoc ~before:perf0 ~after:perf1 in
   (* The certificate is built outside the perf window: digesting blocks
      is bookkeeping about the schedule, not compilation work. *)
   let certificate =
@@ -304,26 +254,7 @@ let compile config prog =
     final_layout;
     metrics = { metrics with Report.seconds };
     trace =
-      {
-        Report.schedule_s;
-        synthesis_s;
-        swap_decompose_s;
-        peephole_s;
-        lint_s = acc.seconds;
-        counters;
-        lint = acc.diags;
-        gc =
-          [
-            "opt", opt_gc;
-            "schedule", schedule_gc;
-            "synthesis", synthesis_gc;
-            "swap_decompose", swap_gc;
-            "peephole", peephole_gc;
-            "lint", acc.gc;
-          ];
-        perf;
-        analysis;
-      };
+      { Report.spans = Report.spans clock; counters; lint = !diags; perf; analysis };
     certificate;
     opt_program = Option.map (fun (o : Ph_opt.Pass.t) -> o.Ph_opt.Pass.program) opt;
   }

@@ -22,7 +22,7 @@ type output = {
   final_layout : Layout.t option;
   metrics : Report.metrics;
   trace : Report.trace;
-      (** per-stage wall-clock timings and pass counters of this compile *)
+      (** stage spans and pass counters of this compile *)
   certificate : Ph_analysis.Certificate.t;
       (** proof-carrying schedule certificate, emitted on every compile;
           [Ph_analysis.Certificate.check] replays it against the input
@@ -39,7 +39,7 @@ type output = {
     (config consistency, IR well-formedness, schedule permutation and
     layer commutation, gate invariants, SC coupling/layout replay, and
     the final Pauli-frame spot-check); findings and checker time land in
-    [trace.lint] / [trace.lint_s].  Linting never raises — drivers
+    [trace.lint] / the [lint] span.  Linting never raises — drivers
     decide what is fatal (see {!lint_errors}). *)
 val compile : Config.t -> Program.t -> output
 

@@ -38,18 +38,10 @@ let ph_it ?schedule ?lint ?window ?sched_jobs prog =
 
 (* Trace of a baseline stage: synthesis + peephole only (plus SWAP
    decomposition on SC); scheduling counters stay zero. *)
-let baseline_trace ?(synthesis_s = 0.) ?(swap_decompose_s = 0.) ?(peephole_s = 0.)
-    ?(sc_swaps = 0) (pstats : Peephole.stats) =
+let baseline_trace clock ?(sc_swaps = 0) (pstats : Peephole.stats) =
   {
-    Report.schedule_s = 0.;
-    synthesis_s;
-    swap_decompose_s;
-    peephole_s;
-    lint_s = 0.;
-    lint = [];
-    gc = [];
-    perf = [];
-    analysis = None;
+    Report.empty_trace with
+    Report.spans = Report.spans clock;
     counters =
       {
         Report.empty_counters with
@@ -61,9 +53,10 @@ let baseline_trace ?(synthesis_s = 0.) ?(swap_decompose_s = 0.) ?(peephole_s = 0
 
 let ft_stage synthesize prog =
   let t0 = Unix.gettimeofday () in
-  let (r : Emit.result), synthesis_s = Report.timed (fun () -> synthesize prog) in
-  let (circuit, pstats), peephole_s =
-    Report.timed (fun () -> Peephole.optimize_stats r.circuit)
+  let clock = Report.clock () in
+  let (r : Emit.result) = Report.time clock "synthesis" (fun () -> synthesize prog) in
+  let circuit, pstats =
+    Report.time clock "peephole" (fun () -> Peephole.optimize_stats r.circuit)
   in
   let seconds = Unix.gettimeofday () -. t0 in
   {
@@ -72,37 +65,41 @@ let ft_stage synthesize prog =
     initial_layout = None;
     final_layout = None;
     metrics = Report.of_circuit ~seconds circuit;
-    trace = baseline_trace ~synthesis_s ~peephole_s pstats;
+    trace = baseline_trace clock pstats;
   }
 
-let sc_stage synthesize coupling prog =
-  let t0 = Unix.gettimeofday () in
-  let (r : Emit.result), synthesis_s = Report.timed (fun () -> synthesize prog) in
-  let routed, routing_s = Report.timed (fun () -> Router.route ~coupling r.circuit) in
-  let decomposed, swap_decompose_s =
-    Report.timed (fun () -> Circuit.decompose_swaps routed.Router.circuit)
-  in
-  let (circuit, pstats), peephole_s =
-    Report.timed (fun () -> Peephole.optimize_stats decomposed)
+let count_swaps circuit =
+  Array.fold_left
+    (fun acc g -> match g with Gate.Swap _ -> acc + 1 | _ -> acc)
+    0 (Circuit.gates circuit)
+
+(* SWAP decomposition and cleanup of a routed baseline circuit *)
+let sc_finish clock ~t0 ~rotations ~initial_layout ~final_layout routed =
+  let decomposed = Report.time clock "swap" (fun () -> Circuit.decompose_swaps routed) in
+  let circuit, pstats =
+    Report.time clock "peephole" (fun () -> Peephole.optimize_stats decomposed)
   in
   let seconds = Unix.gettimeofday () -. t0 in
-  let sc_swaps =
-    Array.fold_left
-      (fun acc g -> match g with Gate.Swap _ -> acc + 1 | _ -> acc)
-      0
-      (Circuit.gates routed.Router.circuit)
-  in
   {
     circuit;
-    rotations = r.rotations;
-    initial_layout = Some routed.Router.initial_layout;
-    final_layout = Some routed.Router.final_layout;
+    rotations;
+    initial_layout = Some initial_layout;
+    final_layout = Some final_layout;
     metrics = Report.of_circuit ~seconds circuit;
-    trace =
-      baseline_trace
-        ~synthesis_s:(synthesis_s +. routing_s)
-        ~swap_decompose_s ~peephole_s ~sc_swaps pstats;
+    trace = baseline_trace clock ~sc_swaps:(count_swaps routed) pstats;
   }
+
+(* routing counts as part of the synthesis stage *)
+let sc_stage synthesize coupling prog =
+  let t0 = Unix.gettimeofday () in
+  let clock = Report.clock () in
+  let (r : Emit.result) = Report.time clock "synthesis" (fun () -> synthesize prog) in
+  let routed =
+    Report.time clock "synthesis" (fun () -> Router.route ~coupling r.circuit)
+  in
+  sc_finish clock ~t0 ~rotations:r.rotations
+    ~initial_layout:routed.Router.initial_layout
+    ~final_layout:routed.Router.final_layout routed.Router.circuit
 
 let tk_ft ?strategy prog = ft_stage (Tk_like.compile ?strategy) prog
 let tk_sc ?strategy coupling prog = sc_stage (Tk_like.compile ?strategy) coupling prog
@@ -111,31 +108,13 @@ let naive_sc coupling prog = sc_stage Naive.synthesize coupling prog
 
 let qaoa_sc coupling prog =
   let t0 = Unix.gettimeofday () in
-  let r, synthesis_s =
-    Report.timed (fun () -> Qaoa_compiler.compile ~coupling prog)
+  let clock = Report.clock () in
+  let r =
+    Report.time clock "synthesis" (fun () -> Qaoa_compiler.compile ~coupling prog)
   in
-  let decomposed, swap_decompose_s =
-    Report.timed (fun () -> Circuit.decompose_swaps r.Qaoa_compiler.circuit)
-  in
-  let (circuit, pstats), peephole_s =
-    Report.timed (fun () -> Peephole.optimize_stats decomposed)
-  in
-  let seconds = Unix.gettimeofday () -. t0 in
-  let sc_swaps =
-    Array.fold_left
-      (fun acc g -> match g with Gate.Swap _ -> acc + 1 | _ -> acc)
-      0
-      (Circuit.gates r.Qaoa_compiler.circuit)
-  in
-  {
-    circuit;
-    rotations = r.Qaoa_compiler.rotations;
-    initial_layout = Some r.Qaoa_compiler.initial_layout;
-    final_layout = Some r.Qaoa_compiler.final_layout;
-    metrics = Report.of_circuit ~seconds circuit;
-    trace =
-      baseline_trace ~synthesis_s ~swap_decompose_s ~peephole_s ~sc_swaps pstats;
-  }
+  sc_finish clock ~t0 ~rotations:r.Qaoa_compiler.rotations
+    ~initial_layout:r.Qaoa_compiler.initial_layout
+    ~final_layout:r.Qaoa_compiler.final_layout r.Qaoa_compiler.circuit
 
 let verified run =
   match run.initial_layout, run.final_layout with

@@ -16,8 +16,9 @@ type run = {
   final_layout : Layout.t option;
   metrics : Report.metrics;
   trace : Report.trace;
-      (** per-stage timings and pass counters; baseline pipelines fill
-          the synthesis/peephole stages and leave scheduling at zero *)
+      (** stage spans and pass counters; baseline pipelines time
+          synthesis (routing included), swap and peephole and leave the
+          other spans at zero *)
 }
 
 (** Paulihedral on the FT backend ([schedule] defaults to GCO; [lint]

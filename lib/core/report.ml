@@ -24,43 +24,47 @@ let timed f =
   let r = f () in
   r, Unix.gettimeofday () -. t0
 
-(* ---------- GC / allocation telemetry ---------- *)
+(* ---------- stage spans ---------- *)
 
-type gc_delta = {
-  minor_words : float;
-  major_words : float;
-  major_collections : int;
-}
+type span = { stage : string; wall_s : float; alloc_words : int }
 
-let empty_gc = { minor_words = 0.; major_words = 0.; major_collections = 0 }
+let stages = [ "opt"; "schedule"; "synthesis"; "swap"; "peephole"; "lint" ]
 
-let gc_add a b =
-  {
-    minor_words = a.minor_words +. b.minor_words;
-    major_words = a.major_words +. b.major_words;
-    major_collections = a.major_collections + b.major_collections;
-  }
+(* Spans in the order their stages were first timed, a repeated stage
+   summed into its first entry. *)
+type clock = { mutable timed : span list }
 
-(* Allocated words: the pressure number `bench compare` ratios. *)
-let gc_words g = g.minor_words +. g.major_words
+let clock () = { timed = [] }
 
-(* [Gc.quick_stat] counters only flush at GC sync points on OCaml 5, so
-   a short stage can read a zero delta; [Gc.minor_words ()] samples the
-   live allocation pointer of the calling domain and is exact. *)
-let timed_gc f =
-  let g0 = Gc.quick_stat () in
+(* [Gc.minor_words ()] samples the live allocation pointer of the
+   calling domain, so the delta is exact ([Gc.quick_stat] counters only
+   flush at GC sync points on OCaml 5, and its result record would be
+   counted too).  Nothing between the two samples allocates except [f]
+   itself. *)
+let time clock stage f =
   let mw0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   let r = f () in
-  let dt = Unix.gettimeofday () -. t0 in
-  let g1 = Gc.quick_stat () in
-  ( r,
-    dt,
-    {
-      minor_words = Gc.minor_words () -. mw0;
-      major_words = g1.Gc.major_words -. g0.Gc.major_words;
-      major_collections = g1.Gc.major_collections - g0.Gc.major_collections;
-    } )
+  let t1 = Unix.gettimeofday () in
+  let alloc_words = int_of_float (Gc.minor_words () -. mw0) in
+  let sp = { stage; wall_s = t1 -. t0; alloc_words } in
+  let add s =
+    if s.stage <> stage then s
+    else { s with wall_s = s.wall_s +. sp.wall_s; alloc_words = s.alloc_words + alloc_words }
+  in
+  clock.timed <-
+    (if List.exists (fun s -> s.stage = stage) clock.timed then List.map add clock.timed
+     else clock.timed @ [ sp ]);
+  r
+
+let span_of spans stage =
+  match List.find_opt (fun s -> s.stage = stage) spans with
+  | Some s -> s
+  | None -> { stage; wall_s = 0.; alloc_words = 0 }
+
+let spans clock =
+  List.map (span_of clock.timed) stages
+  @ List.filter (fun s -> not (List.mem s.stage stages)) clock.timed
 
 let delta a b =
   if a = 0 then nan else 100. *. float_of_int (b - a) /. float_of_int a
@@ -91,17 +95,12 @@ type pass_counters = {
 }
 
 type trace = {
-  schedule_s : float;
-  synthesis_s : float;
-  swap_decompose_s : float;
-  peephole_s : float;
-  lint_s : float;
+  spans : span list;
   counters : pass_counters;
   lint : Ph_lint.Diag.t list;
-  gc : (string * gc_delta) list;
   perf : (string * int) list;
       (* deterministic work counters ([Ph_perf.Counter] compile-scope
-         deltas plus per-stage [alloc_*_words] ints), in fixed order *)
+         deltas), in fixed order *)
   analysis : Ph_analysis.Gap.summary option;
       (* static bounds + gap ratios, present when the compile ran with
          [Config.analyze] (or a driver attached a post-hoc analysis) *)
@@ -118,21 +117,7 @@ let empty_counters =
   }
 
 let empty_trace =
-  {
-    schedule_s = 0.;
-    synthesis_s = 0.;
-    swap_decompose_s = 0.;
-    peephole_s = 0.;
-    lint_s = 0.;
-    counters = empty_counters;
-    lint = [];
-    gc = [];
-    perf = [];
-    analysis = None;
-  }
-
-let trace_gc_words t =
-  List.fold_left (fun acc (_, g) -> acc +. gc_words g) 0. t.gc
+  { spans = []; counters = empty_counters; lint = []; perf = []; analysis = None }
 
 type record = {
   bench : string;
@@ -154,38 +139,32 @@ let counters_to_json (c : pass_counters) =
       "peephole_rounds", Json.Int c.peephole_rounds;
     ]
 
-let gc_delta_to_json (g : gc_delta) =
+let span_to_json (sp : span) =
   Json.Obj
     [
-      "minor_words", Json.Float g.minor_words;
-      "major_words", Json.Float g.major_words;
-      "major_collections", Json.Int g.major_collections;
+      "stage", Json.String sp.stage;
+      "wall_s", Json.Float sp.wall_s;
+      "alloc_words", Json.Int sp.alloc_words;
     ]
 
-let gc_delta_of_json j =
+let span_of_json j =
   {
-    minor_words = Json.to_float (Json.get "minor_words" j);
-    major_words = Json.to_float (Json.get "major_words" j);
-    major_collections = Json.to_int (Json.get "major_collections" j);
+    stage = Json.to_str (Json.get "stage" j);
+    wall_s = Json.to_float (Json.get "wall_s" j);
+    alloc_words = Json.to_int (Json.get "alloc_words" j);
   }
 
 let trace_to_json (t : trace) =
   Json.Obj
     ([
-       "schedule_s", Json.Float t.schedule_s;
-       "synthesis_s", Json.Float t.synthesis_s;
-       "swap_decompose_s", Json.Float t.swap_decompose_s;
-       "peephole_s", Json.Float t.peephole_s;
-       "lint_s", Json.Float t.lint_s;
+       "spans", Json.List (List.map span_to_json t.spans);
        "counters", counters_to_json t.counters;
        "lint_errors", Json.Int (List.length (Ph_lint.Diag.errors t.lint));
        "lint_warnings", Json.Int (List.length (Ph_lint.Diag.warnings t.lint));
        "lint", Json.List (List.map Ph_lint.Diag.to_json t.lint);
-       "gc", Json.Obj (List.map (fun (s, g) -> s, gc_delta_to_json g) t.gc);
        "perf", Json.Obj (List.map (fun (k, v) -> k, Json.Int v) t.perf);
      ]
-    (* emitted only when present, so pre-analysis reports and
-       non-analyzing compiles keep their exact former shape *)
+    (* emitted only when present: non-analyzing compiles carry none *)
     @
     match t.analysis with
     | None -> []
@@ -211,45 +190,22 @@ let counters_of_json j =
   {
     sched_layers = int "sched_layers";
     sched_padded = int "sched_padded";
-    (* absent from pre-window reports (PR ≤ 3); default so old bench
-       JSON files still load in [bench compare] *)
-    sched_window =
-      (match Json.member "sched_window" j with Some v -> Json.to_int v | None -> 0);
+    sched_window = int "sched_window";
     sc_swaps = int "sc_swaps";
     peephole_removed = int "peephole_removed";
     peephole_rounds = int "peephole_rounds";
   }
 
 let trace_of_json j =
-  let f k = Json.to_float (Json.get k j) in
+  let list k = Json.to_list (Json.get k j) in
   {
-    schedule_s = f "schedule_s";
-    synthesis_s = f "synthesis_s";
-    swap_decompose_s = f "swap_decompose_s";
-    peephole_s = f "peephole_s";
-    (* lint fields are absent from pre-lint reports; default so old
-       bench JSON files still load in [bench compare] *)
-    lint_s = (match Json.member "lint_s" j with Some v -> Json.to_float v | None -> 0.);
+    spans = List.map span_of_json (list "spans");
     counters = counters_of_json (Json.get "counters" j);
-    lint =
-      (match Json.member "lint" j with
-      | Some v -> List.map Ph_lint.Diag.of_json (Json.to_list v)
-      | None -> []);
-    (* absent from pre-pool reports (PR ≤ 4) *)
-    gc =
-      (match Json.member "gc" j with
-      | Some (Json.Obj fields) ->
-        List.map (fun (s, g) -> s, gc_delta_of_json g) fields
-      | Some _ -> raise (Json.Parse_error "trace gc: expected object")
-      | None -> []);
-    (* absent from pre-perf reports (PR ≤ 6) *)
+    lint = List.map Ph_lint.Diag.of_json (list "lint");
     perf =
-      (match Json.member "perf" j with
-      | Some (Json.Obj fields) ->
-        List.map (fun (k, v) -> k, Json.to_int v) fields
-      | Some _ -> raise (Json.Parse_error "trace perf: expected object")
-      | None -> []);
-    (* absent from pre-analysis reports (PR ≤ 7) and plain compiles *)
+      (match Json.get "perf" j with
+      | Json.Obj fields -> List.map (fun (k, v) -> k, Json.to_int v) fields
+      | _ -> raise (Json.Parse_error "trace perf: expected object"));
     analysis =
       (match Json.member "analysis" j with
       | None | Some Json.Null -> None
@@ -276,12 +232,12 @@ let record_of_json j =
 
 (* ---------- deterministic projection ---------- *)
 
-(* Everything wall-clock- or domain-dependent zeroed: what remains is a
-   pure function of (program, config), so `phc batch --jobs N` reports
-   can be byte-diffed against `--jobs 1` and against cached reruns.
-   [trace.perf] survives normalization on purpose — the counters are
-   deterministic, so the existing byte-identity CI checks double as a
-   determinism proof for them. *)
+(* Everything wall-clock-dependent zeroed: what remains is a pure
+   function of (program, config), so `phc batch --jobs N` reports can be
+   byte-diffed against `--jobs 1` and against cached reruns.  Span
+   allocation words and [trace.perf] survive normalization on purpose —
+   both are deterministic, so the existing byte-identity CI checks
+   double as a determinism proof for them. *)
 let normalize_record (r : record) =
   {
     r with
@@ -289,12 +245,7 @@ let normalize_record (r : record) =
     trace =
       {
         r.trace with
-        schedule_s = 0.;
-        synthesis_s = 0.;
-        swap_decompose_s = 0.;
-        peephole_s = 0.;
-        lint_s = 0.;
-        gc = [];
+        spans = List.map (fun sp -> { sp with wall_s = 0. }) r.trace.spans;
       };
   }
 
@@ -303,8 +254,8 @@ let normalize_record (r : record) =
 (* One normalized [Ph_perf.Db] row per deterministic quantity of a
    record: the circuit metrics, the per-pass counters (minus
    [sched_window], which echoes configuration rather than measuring
-   work) and the [trace.perf] snapshot.  [seconds] and stage timings
-   never become rows. *)
+   work), the [trace.perf] snapshot and one [alloc_<stage>_words] row
+   per span.  [seconds] and span wall times never become rows. *)
 let perf_rows ~commit (r : record) =
   let mk counter value =
     { Ph_perf.Db.commit; bench = r.bench; config = r.config; counter; value }
@@ -322,6 +273,9 @@ let perf_rows ~commit (r : record) =
     mk "peephole_rounds" c.peephole_rounds;
   ]
   @ List.map (fun (k, v) -> mk k v) r.trace.perf
+  @ List.map
+      (fun sp -> mk ("alloc_" ^ sp.stage ^ "_words") sp.alloc_words)
+      r.trace.spans
   (* gap/floor rows use names disjoint from the ana_* work counters in
      [trace.perf], so a record never yields two rows with one key *)
   @

@@ -18,31 +18,37 @@ val of_circuit : ?seconds:float -> Circuit.t -> metrics
 (** [timed f] runs [f ()] and returns its result with the elapsed time. *)
 val timed : (unit -> 'a) -> 'a * float
 
-(** {1 GC / allocation telemetry} *)
+(** {1 Stage spans} *)
 
-(** [Gc.quick_stat] deltas around one pass: words allocated in the minor
-    and major heaps and major collections triggered.  Under the domain
-    pool the numbers are attributed to the domain that ran the pass but
-    [Gc.quick_stat] aggregates some counters process-wide, so pooled
-    runs are approximate; single-domain runs are exact. *)
-type gc_delta = {
-  minor_words : float;
-  major_words : float;
-  major_collections : int;
-}
+(** One compile stage: its wall time and the words it allocated.
+    [alloc_words] is the [Gc.minor_words] delta of the calling domain
+    across the stage — exact, so reproducible for a fixed compiler
+    binary (it still shifts across compiler versions, which is why the
+    history gate never gates [alloc_*] rows).  A stage timed more than
+    once in one compile (the lint checkers between passes) is one span
+    holding the sums. *)
+type span = { stage : string; wall_s : float; alloc_words : int }
 
-val empty_gc : gc_delta
-val gc_add : gc_delta -> gc_delta -> gc_delta
+(** The compile stages in report order:
+    [opt; schedule; synthesis; swap; peephole; lint]. *)
+val stages : string list
 
-(** Total words allocated ([minor_words + major_words]) — the allocation
-    pressure number [bench compare] ratios between reports. *)
-val gc_words : gc_delta -> float
+(** Collects the spans of one compile. *)
+type clock
 
-(** [timed_gc f] — {!timed} plus the {!gc_delta} of the call. *)
-val timed_gc : (unit -> 'a) -> 'a * float * gc_delta
+val clock : unit -> clock
 
-val gc_delta_to_json : gc_delta -> Json.t
-val gc_delta_of_json : Json.t -> gc_delta
+(** [time clock stage f] runs [f ()] and adds its wall time and
+    allocation to [stage]'s span. *)
+val time : clock -> string -> (unit -> 'a) -> 'a
+
+(** Every stage of {!stages} in order — a zero span for a stage that was
+    never timed — then any other stage (e.g. [analysis]) in the order it
+    was first timed. *)
+val spans : clock -> span list
+
+(** The span of [stage]; a zero span when the list has none. *)
+val span_of : span list -> string -> span
 
 (** [delta a b] — percentage change of [b] relative to [a]
     ([(b − a) / a · 100]); [nan] when [a = 0]. *)
@@ -67,49 +73,36 @@ val pp_metrics : Format.formatter -> metrics -> unit
 type pass_counters = {
   sched_layers : int;  (** layers formed by the scheduling pass *)
   sched_padded : int;  (** padding blocks packed by depth-oriented scheduling *)
-  sched_window : int;  (** [Config.window] scan bound the schedulers ran with
-                           ([0] in records predating the knob) *)
+  sched_window : int;  (** [Config.window] scan bound the schedulers ran with *)
   sc_swaps : int;  (** SWAPs inserted by the SC backend (pre-decomposition) *)
   peephole_removed : int;  (** gates removed (cancelled + merged) by peephole *)
   peephole_rounds : int;  (** peephole passes until fixpoint *)
 }
 
-(** Per-stage wall-clock timings of one compile, plus the counters and
-    any lint diagnostics the per-stage checkers reported
-    ([lint = []] when [Config.lint = Off]). *)
+(** The stage spans of one compile, plus the counters and any lint
+    diagnostics the per-stage checkers reported ([lint = []] when
+    [Config.lint = Off]). *)
 type trace = {
-  schedule_s : float;
-  synthesis_s : float;
-  swap_decompose_s : float;
-  peephole_s : float;
-  lint_s : float;  (** total time spent in [Ph_lint] checkers *)
+  spans : span list;
+      (** {!stages} in order, then [analysis] when the compile ran with
+          [Config.analyze]; baseline pipelines report the stages they
+          ran *)
   counters : pass_counters;
   lint : Ph_lint.Diag.t list;  (** stage order: config, IR, schedule,
                                    synthesis, hardware, final circuit *)
-  gc : (string * gc_delta) list;
-      (** per-stage allocation deltas in stage order
-          ([schedule]/[synthesis]/[swap_decompose]/[peephole]/[lint]);
-          [[]] in records predating the telemetry (PR ≤ 4) and in
-          baseline-stage traces *)
   perf : (string * int) list;
       (** deterministic work counters: the [Ph_perf.Counter]
-          compile-scope deltas sampled by [Compiler.compile] plus the
-          per-stage [alloc_*_words] integers, in fixed declaration
-          order.  Bit-identical across runs, [--jobs] settings and
-          machines; [[]] in records predating the subsystem (PR ≤ 6)
-          and in baseline-stage traces *)
+          compile-scope deltas sampled by [Compiler.compile], in fixed
+          declaration order.  Bit-identical across runs, [--jobs]
+          settings and machines; [[]] in baseline-stage traces *)
   analysis : Ph_analysis.Gap.summary option;
       (** static lower bounds and gap ratios — [Some] when the compile
           ran with [Config.analyze] or a driver (bench, history record)
-          attached a post-hoc analysis; [None] otherwise and in records
-          predating the analyzer (PR ≤ 7) *)
+          attached a post-hoc analysis; [None] otherwise *)
 }
 
 val empty_counters : pass_counters
 val empty_trace : trace
-
-(** Total words allocated across all stages of the trace. *)
-val trace_gc_words : trace -> float
 
 (** One row of a machine-readable bench report: benchmark × config
     identity, program size, end metrics and the per-stage trace. *)
@@ -133,19 +126,20 @@ val trace_of_json : Json.t -> trace
 
 val record_of_json : Json.t -> record
 
-(** Zero every wall-clock and GC field of the record (metrics seconds,
-    per-stage timings, allocation deltas), leaving only data that is a
-    pure function of (program, config).  The batch service reports
-    normalized records by default so [--jobs N] output is byte-identical
-    to [--jobs 1] and to a warm-cache rerun.  [trace.perf] is kept:
-    the counters are deterministic, so byte-identity checks over
-    normalized records also prove counter determinism. *)
+(** Zero every wall-clock field of the record (metrics seconds, span
+    wall times), leaving only data that is a pure function of (program,
+    config).  The batch service reports normalized records by default so
+    [--jobs N] output is byte-identical to [--jobs 1] and to a warm-cache
+    rerun.  Span [alloc_words] and [trace.perf] are kept: both are
+    deterministic, so byte-identity checks over normalized records also
+    prove their determinism. *)
 val normalize_record : record -> record
 
 (** One {!Ph_perf.Db} row per deterministic quantity of the record —
     circuit metrics ([cnot]/[single]/[total]/[depth]), the per-pass
-    counters except the configuration echo [sched_window], and every
-    [trace.perf] entry.  [seconds] and stage timings are never rows. *)
+    counters except the configuration echo [sched_window], every
+    [trace.perf] entry, then [alloc_<stage>_words] per span.  [seconds]
+    and span wall times are never rows. *)
 val perf_rows : commit:string -> record -> Ph_perf.Db.row list
 
 (** {1 Batch aggregation}

@@ -46,11 +46,8 @@ type gap_agg = {
 type stage_totals = {
   mutable agg_compiles : int;
   mutable agg_compile_s : float;  (** end-to-end, [metrics.seconds] *)
-  mutable agg_schedule_s : float;
-  mutable agg_synthesis_s : float;
-  mutable agg_swap_s : float;
-  mutable agg_peephole_s : float;
-  mutable agg_lint_s : float;
+  mutable agg_stage_s : (string * float) list;
+      (** summed span wall times by stage, first-seen order *)
   mutable agg_analyzed : int;  (** compiles that carried an analysis *)
   agg_gap_depth : gap_agg;
   agg_gap_cnot : gap_agg;
@@ -191,11 +188,16 @@ let note_compiled t (record : Report.record) =
   let tot = t.totals in
   tot.agg_compiles <- tot.agg_compiles + 1;
   tot.agg_compile_s <- tot.agg_compile_s +. record.Report.metrics.Report.seconds;
-  tot.agg_schedule_s <- tot.agg_schedule_s +. tr.Report.schedule_s;
-  tot.agg_synthesis_s <- tot.agg_synthesis_s +. tr.Report.synthesis_s;
-  tot.agg_swap_s <- tot.agg_swap_s +. tr.Report.swap_decompose_s;
-  tot.agg_peephole_s <- tot.agg_peephole_s +. tr.Report.peephole_s;
-  tot.agg_lint_s <- tot.agg_lint_s +. tr.Report.lint_s;
+  List.iter
+    (fun (sp : Report.span) ->
+      let stage = sp.Report.stage in
+      tot.agg_stage_s <-
+        (if List.mem_assoc stage tot.agg_stage_s then
+           List.map
+             (fun (k, v) -> k, if k = stage then v +. sp.Report.wall_s else v)
+             tot.agg_stage_s
+         else tot.agg_stage_s @ [ stage, sp.Report.wall_s ]))
+    tr.Report.spans;
   match tr.Report.analysis with
   | None -> ()
   | Some s ->
@@ -306,7 +308,7 @@ let stats_json t =
       let c = t.counters and tot = t.totals in
       Json.Obj
         [
-          "schema", Json.String "phc-serve-stats/1";
+          "schema", Json.String "phc-serve-stats/2";
           "uptime_s", Json.Float (Unix.gettimeofday () -. t.started_at);
           "draining", Json.Bool t.draining;
           ( "requests",
@@ -346,15 +348,11 @@ let stats_json t =
             | Some cache -> Cache.counters_to_json (Cache.counters cache) );
           ( "stages",
             Json.Obj
-              [
-                "compiles", Json.Int tot.agg_compiles;
-                "compile_s", Json.Float tot.agg_compile_s;
-                "schedule_s", Json.Float tot.agg_schedule_s;
-                "synthesis_s", Json.Float tot.agg_synthesis_s;
-                "swap_decompose_s", Json.Float tot.agg_swap_s;
-                "peephole_s", Json.Float tot.agg_peephole_s;
-                "lint_s", Json.Float tot.agg_lint_s;
-              ] );
+              ([
+                 "compiles", Json.Int tot.agg_compiles;
+                 "compile_s", Json.Float tot.agg_compile_s;
+               ]
+              @ List.map (fun (k, v) -> k ^ "_s", Json.Float v) tot.agg_stage_s) );
           (* optimality-gap geomeans over every analyzed compile *)
           ( "analysis",
             let geo agg =
@@ -562,11 +560,7 @@ let start cfg =
         {
           agg_compiles = 0;
           agg_compile_s = 0.;
-          agg_schedule_s = 0.;
-          agg_synthesis_s = 0.;
-          agg_swap_s = 0.;
-          agg_peephole_s = 0.;
-          agg_lint_s = 0.;
+          agg_stage_s = List.map (fun stage -> stage, 0.) Report.stages;
           agg_analyzed = 0;
           agg_gap_depth = { gap_n = 0; gap_log = 0. };
           agg_gap_cnot = { gap_n = 0; gap_log = 0. };

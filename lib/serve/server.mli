@@ -70,11 +70,13 @@ val drain : t -> unit
 (** Route SIGTERM and SIGINT to {!request_drain}. *)
 val install_signal_handlers : t -> unit
 
-(** Live (or, after drain, final) operational counters: request
-    outcomes, queue depth and admission bound, worker-pool health
-    ({!Ph_pool.Pool.worker_stats}), cache counters, and per-stage
-    compile-time totals aggregated from every compiled job's
-    [Report.trace]. *)
+(** Live (or, after drain, final) operational counters (schema
+    [phc-serve-stats/2]): request outcomes, queue depth and admission
+    bound, worker-pool health ({!Ph_pool.Pool.worker_stats}), cache
+    counters, and a [stages] object holding [compiles], [compile_s] and
+    one [<stage>_s] per span stage ([Report.stages] from the start,
+    [analysis_s] once an analyzed compile ran), each summing that
+    stage's span wall time over every compiled job's [Report.trace]. *)
 val stats_json : t -> Ph_json.t
 
 (** One-line human summary of {!stats_json} (for the drain log). *)

@@ -133,11 +133,34 @@ let test_compile_trace () =
   let cfg = Config.ft ~schedule:Config.Depth_oriented () in
   let out = Compiler.compile cfg sample_program in
   let t = out.Compiler.trace in
-  check "stage timings non-negative" true
-    (t.Report.schedule_s >= 0.
-    && t.Report.synthesis_s >= 0.
-    && t.Report.swap_decompose_s >= 0.
-    && t.Report.peephole_s >= 0.);
+  let spans = t.Report.spans in
+  check "spans in fixed stage order" true
+    (List.map (fun (sp : Report.span) -> sp.Report.stage) spans
+    = [ "opt"; "schedule"; "synthesis"; "swap"; "peephole"; "lint" ]);
+  check "span wall times non-negative" true
+    (List.for_all (fun (sp : Report.span) -> sp.Report.wall_s >= 0.) spans);
+  check "spans fit inside the compile" true
+    (List.fold_left (fun a (sp : Report.span) -> a +. sp.Report.wall_s) 0. spans
+    <= out.Compiler.metrics.Report.seconds);
+  check "stages that ran allocated" true
+    ((Report.span_of spans "schedule").Report.alloc_words > 0
+    && (Report.span_of spans "synthesis").Report.alloc_words > 0);
+  check_int "opt did not run" 0 (Report.span_of spans "opt").Report.alloc_words;
+  let normalized =
+    (Report.normalize_record
+       {
+         Report.bench = "b";
+         config = "c";
+         qubits = 0;
+         paulis = 0;
+         metrics = out.Compiler.metrics;
+         trace = t;
+       })
+      .Report.trace.Report.spans
+  in
+  check "normalization zeroes wall time, keeps allocation" true
+    (normalized
+    = List.map (fun (sp : Report.span) -> { sp with Report.wall_s = 0. }) spans);
   let c = t.Report.counters in
   (* DO places every block exactly once: one leader per layer, the rest
      as padding *)

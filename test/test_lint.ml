@@ -277,7 +277,8 @@ let small_program () =
 let test_lint_off_is_free () =
   let out = Compiler.compile (Config.ft ()) (small_program ()) in
   check_int "no diags" 0 (List.length out.Compiler.trace.Report.lint);
-  check "no time" true (out.Compiler.trace.Report.lint_s = 0.)
+  let lint = Report.span_of out.Compiler.trace.Report.spans "lint" in
+  check "no time" true (lint.Report.wall_s = 0. && lint.Report.alloc_words = 0)
 
 let test_lint_clean_compile () =
   List.iter

@@ -22,18 +22,24 @@ let compile_once () =
 let perf_string (perf : (string * int) list) =
   String.concat ";" (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) perf)
 
+let alloc_of (t : Report.trace) =
+  List.map (fun (sp : Report.span) -> sp.Report.stage, sp.Report.alloc_words) t.Report.spans
+
 let test_compile_twice_identical () =
-  let p1 = (compile_once ()).Compiler.trace.Report.perf in
-  let p2 = (compile_once ()).Compiler.trace.Report.perf in
+  let t1 = (compile_once ()).Compiler.trace in
+  let t2 = (compile_once ()).Compiler.trace in
+  let p1 = t1.Report.perf in
   check_str "same input -> byte-identical snapshot" (perf_string p1)
-    (perf_string p2);
+    (perf_string t2.Report.perf);
+  check_str "same input -> identical span allocation"
+    (perf_string (alloc_of t1)) (perf_string (alloc_of t2));
   check "kernel counters are live" true (List.assoc "pauli_overlap" p1 > 0);
   check "scheduler counters are live" true
     (List.assoc "sched_padding_probes" p1 > 0);
   check "builder counter is live" true
     (List.assoc "circuit_gates_built" p1 > 0);
   check "allocation words are live" true
-    (List.assoc "alloc_schedule_words" p1 > 0);
+    (List.assoc "schedule" (alloc_of t1) > 0);
   check "cache counters stay out of compile scope" true
     (not (List.mem_assoc "cache_probes" p1))
 
@@ -154,21 +160,57 @@ let test_record_json_round_trip () =
   check_str "perf survives the JSON round trip"
     (perf_string record.Report.trace.Report.perf)
     (perf_string round.Report.trace.Report.perf);
+  check "spans survive the JSON round trip" true
+    (round.Report.trace.Report.spans = record.Report.trace.Report.spans);
   check "normalize keeps perf" true
     ((Report.normalize_record record).Report.trace.Report.perf
-    = record.Report.trace.Report.perf);
-  (* pre-perf reports (PR <= 6) have no "perf" member *)
-  let old =
-    Json.parse
-      {|{"bench":"b","config":"c","qubits":1,"paulis":1,
-         "cnot":1,"single":0,"total":1,"depth":1,"seconds":0.0,
-         "trace":{"schedule_s":0.0,"synthesis_s":0.0,"swap_decompose_s":0.0,
-                  "peephole_s":0.0,
-                  "counters":{"sched_layers":1,"sched_padded":0,"sc_swaps":0,
-                              "peephole_removed":0,"peephole_rounds":0}}}|}
-  in
-  check "old JSON still parses, perf defaults to []" true
-    ((Report.record_of_json old).Report.trace.Report.perf = [])
+    = record.Report.trace.Report.perf)
+
+(* --- history rows --- *)
+
+(* The row names [perf_rows] gave before spans replaced the per-stage
+   fields: a renamed stage (say [alloc_swap_decompose_words]) would
+   orphan every recorded history row of that counter. *)
+let golden_row_names =
+  [
+    "cnot"; "single"; "total"; "depth"; "sched_layers"; "sched_padded";
+    "sc_swaps"; "peephole_removed"; "peephole_rounds"; "pauli_commutes";
+    "pauli_overlap"; "pauli_mul"; "pauli_words"; "pauli_popcounts";
+    "sched_leader_scans"; "sched_candidates"; "sched_padding_probes";
+    "sched_window_truncations"; "circuit_gates_built"; "peephole_probes";
+    "peephole_scan_rounds"; "ana_edges_scanned"; "ana_clique_iters";
+    "ana_cert_checks"; "opt_groups"; "opt_diag_rotations"; "opt_fused_blocks";
+    "alloc_opt_words"; "alloc_schedule_words"; "alloc_synthesis_words";
+    "alloc_swap_words"; "alloc_peephole_words"; "alloc_lint_words";
+  ]
+
+let test_perf_row_names () =
+  let prog = (List.hd (Ph_benchmarks.Suite.ft ())).Ph_benchmarks.Suite.generate () in
+  List.iter
+    (fun (name, config) ->
+      let out = Compiler.compile config prog in
+      let record =
+        {
+          Report.bench = name;
+          config = name;
+          qubits = 0;
+          paulis = 0;
+          metrics = out.Compiler.metrics;
+          trace = out.Compiler.trace;
+        }
+      in
+      Alcotest.(check (list string))
+        (name ^ " row names") golden_row_names
+        (List.map
+           (fun (r : Ph_perf.Db.row) -> r.Ph_perf.Db.counter)
+           (Report.perf_rows ~commit:"x" record)))
+    [
+      "ft-do", Config.ft ~schedule:Config.Depth_oriented ();
+      "ft-phx", Config.ft ~schedule:Config.Phoenix_like ();
+      ( "sc-do",
+        Config.sc ~schedule:Config.Depth_oriented
+          (Ph_hardware.Devices.line (Ph_pauli_ir.Program.n_qubits prog)) );
+    ]
 
 (* --- Db --- *)
 
@@ -321,8 +363,13 @@ let () =
             test_jobs_1_vs_4_identical;
           Alcotest.test_case "warm vs cold cache" `Quick
             test_warm_vs_cold_cache_identical;
-          Alcotest.test_case "json round trip + old json" `Quick
+          Alcotest.test_case "json round trip" `Quick
             test_record_json_round_trip;
+        ] );
+      ( "rows",
+        [
+          Alcotest.test_case "perf_rows names unchanged" `Quick
+            test_perf_row_names;
         ] );
       ( "db",
         [
