@@ -68,16 +68,12 @@ let lint_level () = if !lint_enabled then Lint.Diag.Warn else Lint.Diag.Off
    cache fingerprint and needs no per-table plumbing. *)
 let bench_sched_jobs = ref 1
 
-let ph_ft ?schedule prog =
-  Pipelines.ph_ft ?schedule ~lint:(lint_level ())
-    ~sched_jobs:!bench_sched_jobs prog
+(* Every PH compile of the harness runs [base] under the --lint level and
+   the --sched-jobs setting. *)
+let ph_config (base : Config.t) =
+  { base with Config.lint = lint_level (); sched_jobs = !bench_sched_jobs }
 
-let ph_sc ?schedule device prog =
-  Pipelines.ph_sc ?schedule ~lint:(lint_level ())
-    ~sched_jobs:!bench_sched_jobs device prog
-
-let ph_it prog =
-  Pipelines.ph_it ~lint:(lint_level ()) ~sched_jobs:!bench_sched_jobs prog
+let ph base prog = Pipelines.ph (ph_config base) prog
 
 (* ---------- pooled tables & record cache (--jobs / --cache) ---------- *)
 
@@ -103,18 +99,10 @@ let cell ~bench ~config prog (r : Pipelines.run) =
     c_verified = Pipelines.verified r;
   }
 
-(* Cache fingerprints.  The PH pipelines reconstruct the exact [Config]
-   that [Pipelines.ph_*] builds, so [Config.fingerprint] describes the
-   compile faithfully; the baselines are not config-driven and get a
-   synthetic tag (with the device identity folded in where routing
-   matters).  Both embed [Config.version_tag], so a version bump
+(* Baseline cache fingerprints: the baselines are not config-driven and
+   get a synthetic tag (with the device identity folded in where routing
+   matters).  It embeds [Config.version_tag], so a version bump
    invalidates every entry. *)
-let fp_ph_ft ?schedule () =
-  Config.fingerprint (Config.ft ?schedule ~lint:(lint_level ()) ())
-
-let fp_ph_sc ?schedule device =
-  Config.fingerprint (Config.sc ?schedule ~lint:(lint_level ()) device)
-
 let fp_baseline ?device tag =
   Printf.sprintf "v=%s;baseline=%s%s" Config.version_tag tag
     (match device with
@@ -123,27 +111,35 @@ let fp_baseline ?device tag =
 
 (* Run one cell through the record cache when --cache is given.  Only
    verified runs are stored (same payload shape as the phc batch
-   cache), so a hit is trusted without recompiling; the stored record
-   may carry another table's row identity, so relabel it. *)
+   cache), so a hit is trusted without recompiling; [Batch.lookup]
+   relabels it to this row's identity. *)
 let cached ~bench ~config ~fp prog (f : unit -> Pipelines.run) =
   match !bench_cache with
   | None -> cell ~bench ~config prog (f ())
-  | Some cache ->
+  | Some cache -> (
     let key =
       Ph_pool.Cache.key ~config_fp:fp ~text:(Ph_pool.Batch.canonical_text prog)
     in
-    let compile () =
+    match Ph_pool.Batch.lookup cache key ~bench ~config_name:config with
+    | Some r -> { c_record = r; c_verified = true }
+    | None ->
       let c = cell ~bench ~config prog (f ()) in
       if c.c_verified then
         Ph_pool.Cache.store cache key
           (Ph_pool.Batch.payload_of_record c.c_record);
-      c
-    in
-    (match Option.bind (Ph_pool.Cache.find cache key)
-             Ph_pool.Batch.record_of_payload
-     with
-    | Some r -> { c_record = { r with Report.bench; config }; c_verified = true }
-    | None -> compile ())
+      c)
+
+(* The PH config of a suite benchmark's backend (SC: [sc_device]). *)
+let suite_config backend ~schedule =
+  match backend with
+  | Suite.FT -> Config.ft ~schedule ()
+  | Suite.SC -> Config.sc ~schedule sc_device
+
+(* A PH cell: its cache fingerprint is that of the config it compiles. *)
+let ph_cell ~bench ~config base prog =
+  let c = ph_config base in
+  cached ~bench ~config ~fp:(Config.fingerprint c) prog (fun () ->
+      Pipelines.ph c prog)
 
 let emit_cell c =
   if !json_enabled then
@@ -305,15 +301,14 @@ let table2_sc filters =
         let prog = b.Suite.generate () in
         let ph =
           analyzed prog
-            (cached ~bench:b.Suite.name ~config:"table2-sc/PH"
-               ~fp:(fp_ph_sc sc_device) prog (fun () -> ph_sc sc_device prog))
+            (ph_cell ~bench:b.Suite.name ~config:"table2-sc/PH"
+               (Config.sc sc_device) prog)
         in
         let phx =
           analyzed prog
-            (cached ~bench:b.Suite.name ~config:"table2-sc/PHX"
-               ~fp:(fp_ph_sc ~schedule:Config.Phoenix_like sc_device)
-               prog
-               (fun () -> ph_sc ~schedule:Config.Phoenix_like sc_device prog))
+            (ph_cell ~bench:b.Suite.name ~config:"table2-sc/PHX"
+               (Config.sc ~schedule:Config.Phoenix_like sc_device)
+               prog)
         in
         let tk =
           analyzed prog
@@ -342,17 +337,15 @@ let table2_ft filters =
         let prog = b.Suite.generate () in
         let ph =
           analyzed prog
-            (cached ~bench:b.Suite.name ~config:"table2-ft/PH"
-               ~fp:(fp_ph_ft ~schedule:Config.Depth_oriented ())
-               prog
-               (fun () -> ph_ft ~schedule:Config.Depth_oriented prog))
+            (ph_cell ~bench:b.Suite.name ~config:"table2-ft/PH"
+               (Config.ft ~schedule:Config.Depth_oriented ())
+               prog)
         in
         let phx =
           analyzed prog
-            (cached ~bench:b.Suite.name ~config:"table2-ft/PHX"
-               ~fp:(fp_ph_ft ~schedule:Config.Phoenix_like ())
-               prog
-               (fun () -> ph_ft ~schedule:Config.Phoenix_like prog))
+            (ph_cell ~bench:b.Suite.name ~config:"table2-ft/PHX"
+               (Config.ft ~schedule:Config.Phoenix_like ())
+               prog)
         in
         let tk =
           analyzed prog
@@ -383,14 +376,13 @@ let table3 filters =
     (fun (b : Suite.t) ->
       let prog = b.Suite.generate () in
       let ph =
-        cached ~bench:b.Suite.name ~config:"table3/PH" ~fp:(fp_ph_sc sc_device)
-          prog (fun () -> ph_sc sc_device prog)
+        ph_cell ~bench:b.Suite.name ~config:"table3/PH" (Config.sc sc_device)
+          prog
       in
       let phx =
-        cached ~bench:b.Suite.name ~config:"table3/PHX"
-          ~fp:(fp_ph_sc ~schedule:Config.Phoenix_like sc_device)
+        ph_cell ~bench:b.Suite.name ~config:"table3/PHX"
+          (Config.sc ~schedule:Config.Phoenix_like sc_device)
           prog
-          (fun () -> ph_sc ~schedule:Config.Phoenix_like sc_device prog)
       in
       let qc =
         cached ~bench:b.Suite.name ~config:"table3/QAOA_comp"
@@ -416,14 +408,9 @@ let table4_sched filters =
       (fun (b : Suite.t) ->
         let prog = b.Suite.generate () in
         let compiled schedule config =
-          match b.Suite.backend with
-          | Suite.FT ->
-            cached ~bench:b.Suite.name ~config ~fp:(fp_ph_ft ~schedule ()) prog
-              (fun () -> ph_ft ~schedule prog)
-          | Suite.SC ->
-            cached ~bench:b.Suite.name ~config ~fp:(fp_ph_sc ~schedule sc_device)
-              prog
-              (fun () -> ph_sc ~schedule sc_device prog)
+          ph_cell ~bench:b.Suite.name ~config
+            (suite_config b.Suite.backend ~schedule)
+            prog
         in
         let gco = compiled Config.Gco "table4-sched/GCO" in
         let dor = compiled Config.Depth_oriented "table4-sched/DO" in
@@ -473,14 +460,9 @@ let table4_bc filters =
     (fun (b : Suite.t) ->
       let prog = b.Suite.generate () in
       let compiled schedule config =
-        match b.Suite.backend with
-        | Suite.FT ->
-          cached ~bench:b.Suite.name ~config ~fp:(fp_ph_ft ~schedule ()) prog
-            (fun () -> ph_ft ~schedule prog)
-        | Suite.SC ->
-          cached ~bench:b.Suite.name ~config ~fp:(fp_ph_sc ~schedule sc_device)
-            prog
-            (fun () -> ph_sc ~schedule sc_device prog)
+        ph_cell ~bench:b.Suite.name ~config
+          (suite_config b.Suite.backend ~schedule)
+          prog
       in
       let ph = compiled Config.Gco "table4-bc/PH" in
       let phx = compiled Config.Phoenix_like "table4-bc/PHX" in
@@ -561,7 +543,7 @@ let fig11 filters =
             trace = Report.empty_trace;
           }
         in
-        let ph = ph_sc device prog in
+        let ph = ph (Config.sc device) prog in
         let eval r seed =
           Ph_sim.Qaoa_run.evaluate ~noise ~trajectories ~seed g (kernel_of r) ~beta
         in
@@ -635,7 +617,7 @@ let ablation filters =
     end
   in
   let sched_variant schedule prog =
-    (ph_ft ~schedule prog).Pipelines.metrics
+    (ph (Config.ft ~schedule ()) prog).Pipelines.metrics
   in
   run "UCCSD-12"
     [
@@ -652,8 +634,8 @@ let ablation filters =
     [ "do-padding", do_padding true; "do-nopad", do_padding false ];
   run "UCCSD-8"
     [ "sc-root-lcc", sc_root `Largest_component; "sc-root-first", sc_root `First_core ];
-  let it_backend prog = (ph_it prog).Pipelines.metrics in
-  let ft_backend prog = (ph_ft prog).Pipelines.metrics in
+  let it_backend prog = (ph (Config.ion_trap ()) prog).Pipelines.metrics in
+  let ft_backend prog = (ph (Config.ft ()) prog).Pipelines.metrics in
   run "Heisen-1D"
     [ "backend-ft", ft_backend; "backend-ion", it_backend ]
 
@@ -702,15 +684,16 @@ let timing () =
       Test.make ~name:"table1/naive-UCCSD-8"
         (stage (fun () -> ignore (Ph_synthesis.Naive.synthesize uccsd8)));
       Test.make ~name:"table2-sc/ph-UCCSD-8"
-        (stage (fun () -> ignore (ph_sc sc_device uccsd8)));
+        (stage (fun () -> ignore (ph (Config.sc sc_device) uccsd8)));
       Test.make ~name:"table2-ft/ph-Rand-30"
-        (stage (fun () -> ignore (ph_ft rand30)));
+        (stage (fun () -> ignore (ph (Config.ft ()) rand30)));
       Test.make ~name:"table3/ph-REG-20-4"
-        (stage (fun () -> ignore (ph_sc sc_device reg)));
+        (stage (fun () -> ignore (ph (Config.sc sc_device) reg)));
       Test.make ~name:"table4/do-Heisen-2D"
-        (stage (fun () -> ignore (ph_ft ~schedule:Config.Depth_oriented heisen)));
+        (stage (fun () ->
+             ignore (ph (Config.ft ~schedule:Config.Depth_oriented ()) heisen)));
       Test.make ~name:"fig11/ph-REG-n7-d4"
-        (stage (fun () -> ignore (ph_sc Devices.melbourne fig11_prog)));
+        (stage (fun () -> ignore (ph (Config.sc Devices.melbourne) fig11_prog)));
     ]
     @ (* schedule_s study: the DO scheduler alone over the 64-256 qubit
          scale suite, no synthesis — the rows the arena rewrite targets *)
@@ -914,22 +897,6 @@ let compare_reports ?fail_on a_path b_path =
       end
   end
 
-(* ---------- fuzz: property-testing smoke entry ---------- *)
-
-let fuzz_entry args =
-  let open Ph_fuzz in
-  let cases, seed =
-    match args with
-    | c :: s :: _ -> int_of_string c, int_of_string s
-    | [ c ] -> int_of_string c, 42
-    | [] -> 100, 42
-  in
-  let cfg = { (Runner.default_config ()) with Runner.cases; seed } in
-  let summary = Runner.run ~log:prerr_endline cfg in
-  Runner.print_summary summary;
-  Printf.eprintf "elapsed: %.2fs\n" summary.Runner.seconds;
-  exit (if Runner.failure_count summary = 0 then 0 else 2)
-
 (* ---------- serve: daemon throughput / latency study ---------- *)
 
 (* Spins an in-process serve daemon (ephemeral port, workers from
@@ -1002,8 +969,7 @@ let scale_table filters =
         let prog = b.Suite.generate () in
         let compiled schedule config =
           analyzed prog
-            (cached ~bench:b.Suite.name ~config ~fp:(fp_ph_ft ~schedule ()) prog
-               (fun () -> ph_ft ~schedule prog))
+            (ph_cell ~bench:b.Suite.name ~config (Config.ft ~schedule ()) prog)
         in
         let ph = compiled Config.Depth_oriented "scale/PH" in
         let phx = compiled Config.Phoenix_like "scale/PHX" in
@@ -1044,7 +1010,6 @@ let usage () =
   prerr_endline
     "usage: main.exe [table1|table2-sc|table2-ft|table3|table4-sched|table4-bc|fig11|ablation|scale|timing] [benchmark names...] [--json FILE] [--lint] [--jobs N] [--sched-jobs N] [--cache DIR]\n\
     \       main.exe compare A.json B.json [--fail-on-regression PCT]\n\
-    \       main.exe fuzz [CASES] [SEED]\n\
     \       main.exe serve [benchmark names...] [--clients N] [--rps R] [--duration S] [--jobs N] [--cache DIR]\n\
     \       main.exe history record --commit LABEL [--db FILE] [--suite ft|sc|scale|all] [--jobs N]\n\
     \       main.exe history import FILE.json --commit LABEL [--db FILE]\n\
@@ -1073,9 +1038,17 @@ let default_db = "perf/history.csv"
    matches the table runners so imported BENCH_*.json rows and freshly
    recorded rows land on the same (bench, config) keys. *)
 let history_records suite =
-  let ft () = List.map (fun b -> `Ft b) (Suite.ft ()) in
-  let sc () = List.map (fun b -> `Sc b) (Suite.sc ()) in
-  let scale () = List.map (fun b -> `Scale b) (Suite.scale ()) in
+  let ft_do = Config.ft ~schedule:Config.Depth_oriented ()
+  and ft_phx = Config.ft ~schedule:Config.Phoenix_like () in
+  let items prefix benches ph_base phx_base =
+    List.map (fun b -> prefix, b, [ "PH", ph_base; "PHX", phx_base ]) benches
+  in
+  let ft () = items "table2-ft" (Suite.ft ()) ft_do ft_phx in
+  let sc () =
+    items "table2-sc" (Suite.sc ()) (Config.sc sc_device)
+      (Config.sc ~schedule:Config.Phoenix_like sc_device)
+  in
+  let scale () = items "scale" (Suite.scale ()) ft_do ft_phx in
   let items =
     match suite with
     | "ft" -> ft ()
@@ -1085,35 +1058,14 @@ let history_records suite =
     | _ -> usage ()
   in
   Ph_pool.Pool.map ~jobs:!bench_jobs
-    (fun item ->
-      let record ~bench ~config prog run =
-        analyzed_record prog (cell ~bench ~config prog run).c_record
-      in
-      match item with
-      | `Ft (b : Suite.t) ->
-        let prog = b.Suite.generate () in
-        [
-          record ~bench:b.Suite.name ~config:"table2-ft/PH" prog
-            (ph_ft ~schedule:Config.Depth_oriented prog);
-          record ~bench:b.Suite.name ~config:"table2-ft/PHX" prog
-            (ph_ft ~schedule:Config.Phoenix_like prog);
-        ]
-      | `Sc (b : Suite.t) ->
-        let prog = b.Suite.generate () in
-        [
-          record ~bench:b.Suite.name ~config:"table2-sc/PH" prog
-            (ph_sc sc_device prog);
-          record ~bench:b.Suite.name ~config:"table2-sc/PHX" prog
-            (ph_sc ~schedule:Config.Phoenix_like sc_device prog);
-        ]
-      | `Scale (b : Suite.t) ->
-        let prog = b.Suite.generate () in
-        [
-          record ~bench:b.Suite.name ~config:"scale/PH" prog
-            (ph_ft ~schedule:Config.Depth_oriented prog);
-          record ~bench:b.Suite.name ~config:"scale/PHX" prog
-            (ph_ft ~schedule:Config.Phoenix_like prog);
-        ])
+    (fun (prefix, (b : Suite.t), configs) ->
+      let prog = b.Suite.generate () in
+      List.map
+        (fun (tag, base) ->
+          let config = prefix ^ "/" ^ tag in
+          analyzed_record prog
+            (cell ~bench:b.Suite.name ~config prog (ph base prog)).c_record)
+        configs)
     items
   |> List.concat_map (function Stdlib.Ok rs -> rs | Stdlib.Error e -> raise e)
 
@@ -1339,7 +1291,6 @@ let () =
   | "compare" :: a :: b :: _ -> exit (compare_reports ?fail_on a b)
   | "compare" :: _ -> usage ()
   | "history" :: rest -> exit (history_entry rest)
-  | "fuzz" :: rest -> fuzz_entry rest
   | "serve" :: rest ->
     let num key default rest =
       match extract_opt key [] rest with

@@ -52,92 +52,79 @@ let report_lint ~lint (out : Compiler.output) =
   List.iter (fun d -> prerr_endline (Lint.Diag.to_string d)) diags;
   lint = Lint.Diag.Error_level && Compiler.lint_errors out <> []
 
-let run file backend device schedule window sched_jobs params print_circuit
-    no_verify lint json normalize output analyze gap_threshold cert_out =
+(* Read, parse and compile [file] — the front half of compile, lint and
+   analyze.  Parsing goes through [Batch.parse], so phc rejects exactly
+   the sources batch and serve reject; every failure prints to stderr
+   and exits 1. *)
+let compile_file file ~params config k =
   match
-    let source = read_file file in
-    let program = Ph_pauli_ir.Parser.parse ~params source in
-    let out =
-      Compiler.compile
-        (config_for ~analyze ~gap_threshold ~sched_jobs ~backend ~device
-           ~schedule ~lint ~window ())
-        program
-    in
-    Ok (program, out)
+    Result.map
+      (fun program -> program, Compiler.compile (config ()) program)
+      (Ph_pool.Batch.parse ~params (read_file file))
   with
-  | exception Sys_error m -> prerr_endline m; 1
-  | exception Failure m -> prerr_endline m; 1
-  | exception Ph_pauli_ir.Parser.Parse_error m ->
+  | exception (Sys_error m | Failure m) -> prerr_endline m; 1
+  | Error m ->
     Printf.eprintf "parse error: %s\n" m;
     1
-  | Error (`Msg m) -> prerr_endline m; 1
-  | Ok (program, out) ->
-    let lint_failed = report_lint ~lint out in
-    if json then begin
-      (* same record schema as bench/main.exe --json, one object *)
-      let record =
-        {
-          Report.bench = Filename.basename file;
-          config = config_name backend device schedule;
-          qubits = Ph_pauli_ir.Program.n_qubits program;
-          paulis = Ph_pauli_ir.Program.term_count program;
-          metrics = out.Compiler.metrics;
-          trace = out.Compiler.trace;
-        }
-      in
-      let record = if normalize then Report.normalize_record record else record in
-      print_endline (Json.to_string ~indent:true (Report.record_to_json record))
-    end
-    else begin
-      Printf.printf "program: %d qubits, %d blocks, %d Pauli strings\n"
-        (Ph_pauli_ir.Program.n_qubits program)
-        (Ph_pauli_ir.Program.block_count program)
-        (Ph_pauli_ir.Program.term_count program);
-      Printf.printf "compiled: %s\n"
-        (Format.asprintf "%a" Report.pp_metrics out.Compiler.metrics);
-      match out.Compiler.trace.Report.analysis with
-      | Some s -> print_endline (Format.asprintf "%a" Analysis.Gap.pp s)
-      | None -> ()
-    end;
-    (match cert_out with
-    | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          output_string oc
-            (Json.to_string ~indent:true
-               (Analysis.Certificate.to_json out.Compiler.certificate));
-          output_char oc '\n');
-      if not json then Printf.printf "wrote certificate %s\n" path
-    | None -> ());
-    let ok =
-      no_verify
-      ||
-      match out.Compiler.initial_layout, out.Compiler.final_layout with
-      | Some initial, Some final ->
-        Ph_verify.Pauli_frame.verify_sc ~circuit:out.Compiler.circuit
-          ~trace:out.Compiler.rotations ~initial ~final
-      | _ ->
-        Ph_verify.Pauli_frame.verify_ft out.Compiler.circuit
-          ~trace:out.Compiler.rotations
+  | Ok (program, out) -> k program out
+
+let run file backend device schedule window sched_jobs params print_circuit
+    no_verify lint json normalize output analyze gap_threshold cert_out =
+  compile_file file ~params (fun () ->
+      config_for ~analyze ~gap_threshold ~sched_jobs ~backend ~device ~schedule
+        ~lint ~window ())
+  @@ fun program out ->
+  let lint_failed = report_lint ~lint out in
+  if json then begin
+    (* same record schema as bench/main.exe --json, one object *)
+    let record =
+      Ph_pool.Batch.record ~bench:(Filename.basename file)
+        ~config_name:(config_name backend device schedule)
+        program out
     in
-    if not no_verify then
-      if json then (
-        if not ok then prerr_endline "verification FAILED")
-      else Printf.printf "verified: %b\n" ok;
-    if print_circuit then
-      Array.iter
-        (fun g -> print_endline (Ph_gatelevel.Gate.to_string g))
-        (Ph_gatelevel.Circuit.gates out.Compiler.circuit);
-    (match output with
-    | Some path ->
-      let oc = open_out path in
-      Ph_gatelevel.Qasm.export_to_channel oc out.Compiler.circuit;
-      close_out oc;
-      if not json then Printf.printf "wrote %s\n" path
-    | None -> ());
-    if not ok then 2 else if lint_failed then 3 else 0
+    let record = if normalize then Report.normalize_record record else record in
+    print_endline (Json.to_string ~indent:true (Report.record_to_json record))
+  end
+  else begin
+    Printf.printf "program: %d qubits, %d blocks, %d Pauli strings\n"
+      (Ph_pauli_ir.Program.n_qubits program)
+      (Ph_pauli_ir.Program.block_count program)
+      (Ph_pauli_ir.Program.term_count program);
+    Printf.printf "compiled: %s\n"
+      (Format.asprintf "%a" Report.pp_metrics out.Compiler.metrics);
+    match out.Compiler.trace.Report.analysis with
+    | Some s -> print_endline (Format.asprintf "%a" Analysis.Gap.pp s)
+    | None -> ()
+  end;
+  (match cert_out with
+  | Some path ->
+    let oc = open_out path in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        output_string oc
+          (Json.to_string ~indent:true
+             (Analysis.Certificate.to_json out.Compiler.certificate));
+        output_char oc '\n');
+    if not json then Printf.printf "wrote certificate %s\n" path
+  | None -> ());
+  let ok = no_verify || Ph_pool.Batch.frame_verified out in
+  if not no_verify then
+    if json then (
+      if not ok then prerr_endline "verification FAILED")
+    else Printf.printf "verified: %b\n" ok;
+  if print_circuit then
+    Array.iter
+      (fun g -> print_endline (Ph_gatelevel.Gate.to_string g))
+      (Ph_gatelevel.Circuit.gates out.Compiler.circuit);
+  (match output with
+  | Some path ->
+    let oc = open_out path in
+    Ph_gatelevel.Qasm.export_to_channel oc out.Compiler.circuit;
+    close_out oc;
+    if not json then Printf.printf "wrote %s\n" path
+  | None -> ());
+  if not ok then 2 else if lint_failed then 3 else 0
 
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Pauli IR source file.")
@@ -152,15 +139,8 @@ let device_arg =
 
 let sched_conv =
   Arg.conv
-    ( (fun s -> schedule_of s),
-      fun fmt s ->
-        Format.pp_print_string fmt
-          (match s with
-          | Config.Gco -> "gco"
-          | Config.Depth_oriented -> "do"
-          | Config.Max_overlap -> "maxov"
-          | Config.Phoenix_like -> "phoenix"
-          | Config.Program_order -> "none") )
+    ( schedule_of,
+      fun fmt s -> Format.pp_print_string fmt (Config.schedule_name s) )
 
 let schedule_arg =
   Arg.(value & opt sched_conv Config.Gco & info [ "schedule"; "s" ] ~docv:"SCHEDULE"
@@ -272,9 +252,8 @@ let run_batch files backend device schedule window sched_jobs params lint jobs
     if files = [] then Error (`Msg "batch: no input files")
     else if jobs < 1 then Error (`Msg "batch: --jobs must be positive")
     else
-      try
-        Ok (config_for ~sched_jobs ~backend ~device ~schedule ~lint ~window ())
-      with Failure m -> Error (`Msg m)
+      Ph_serve.Protocol.config_for ~sched_jobs ~backend ~device ~schedule ~lint
+        ~window ()
   with
   | Error (`Msg m) ->
     prerr_endline m;
@@ -398,52 +377,40 @@ let batch_cmd =
 (* ---------- phc lint: verify-each over the whole pipeline ---------- *)
 
 let run_lint file backend device schedule params json =
-  match
-    let source = read_file file in
-    let program = Ph_pauli_ir.Parser.parse ~params source in
-    let config =
+  compile_file file ~params (fun () ->
       config_for ~backend ~device ~schedule ~lint:Lint.Diag.Error_level
-        ~window:Config.default_window ()
-    in
-    Ok (program, Compiler.compile config program)
-  with
-  | exception Sys_error m -> prerr_endline m; 1
-  | exception Failure m -> prerr_endline m; 1
-  | exception Ph_pauli_ir.Parser.Parse_error m ->
-    Printf.eprintf "parse error: %s\n" m;
-    1
-  | Error (`Msg m) -> prerr_endline m; 1
-  | Ok (program, out) ->
-    let diags = out.Compiler.trace.Report.lint in
-    let errors = Lint.Diag.errors diags in
-    if json then
-      print_endline
-        (Json.to_string ~indent:true
-           (Json.Obj
-              [
-                "file", Json.String (Filename.basename file);
-                "config", Json.String (config_name backend device schedule);
-                "qubits", Json.Int (Ph_pauli_ir.Program.n_qubits program);
-                "paulis", Json.Int (Ph_pauli_ir.Program.term_count program);
-                "errors", Json.Int (List.length errors);
-                ( "warnings",
-                  Json.Int (List.length (Lint.Diag.warnings diags)) );
-                ( "lint_s",
-                  Json.Float
-                    (Report.span_of out.Compiler.trace.Report.spans "lint")
-                      .Report.wall_s );
-                "diagnostics", Json.List (List.map Lint.Diag.to_json diags);
-              ]))
-    else begin
-      List.iter (fun d -> print_endline (Lint.Diag.to_string d)) diags;
-      Printf.printf "%s: %d error(s), %d warning(s) [%s, %d qubits, %d strings]\n"
-        (Filename.basename file) (List.length errors)
-        (List.length (Lint.Diag.warnings diags))
-        (config_name backend device schedule)
-        (Ph_pauli_ir.Program.n_qubits program)
-        (Ph_pauli_ir.Program.term_count program)
-    end;
-    if errors = [] then 0 else 3
+        ~window:Config.default_window ())
+  @@ fun program out ->
+  let diags = out.Compiler.trace.Report.lint in
+  let errors = Lint.Diag.errors diags in
+  if json then
+    print_endline
+      (Json.to_string ~indent:true
+         (Json.Obj
+            [
+              "file", Json.String (Filename.basename file);
+              "config", Json.String (config_name backend device schedule);
+              "qubits", Json.Int (Ph_pauli_ir.Program.n_qubits program);
+              "paulis", Json.Int (Ph_pauli_ir.Program.term_count program);
+              "errors", Json.Int (List.length errors);
+              ( "warnings",
+                Json.Int (List.length (Lint.Diag.warnings diags)) );
+              ( "lint_s",
+                Json.Float
+                  (Report.span_of out.Compiler.trace.Report.spans "lint")
+                    .Report.wall_s );
+              "diagnostics", Json.List (List.map Lint.Diag.to_json diags);
+            ]))
+  else begin
+    List.iter (fun d -> print_endline (Lint.Diag.to_string d)) diags;
+    Printf.printf "%s: %d error(s), %d warning(s) [%s, %d qubits, %d strings]\n"
+      (Filename.basename file) (List.length errors)
+      (List.length (Lint.Diag.warnings diags))
+      (config_name backend device schedule)
+      (Ph_pauli_ir.Program.n_qubits program)
+      (Ph_pauli_ir.Program.term_count program)
+  end;
+  if errors = [] then 0 else 3
 
 let lint_cmd =
   let doc =
@@ -462,81 +429,62 @@ let lint_cmd =
 
 let run_analyze file backend device schedule window params gap_threshold lint
     json check_cert =
-  match
-    let source = read_file file in
-    let program = Ph_pauli_ir.Parser.parse ~params source in
-    let config =
+  compile_file file ~params (fun () ->
       config_for ~analyze:true ~gap_threshold ~backend ~device ~schedule ~lint
-        ~window ()
+        ~window ())
+  @@ fun program out ->
+  let metrics = out.Compiler.metrics in
+  (* under --schedule phoenix the certificate is over the optimizer's
+     rewritten program, which the compile output carries *)
+  let cert_program = Option.value out.Compiler.opt_program ~default:program in
+  let check cert =
+    Analysis.Certificate.check ~program:cert_program
+      ~metrics:(metrics.Report.cnot, metrics.Report.single, metrics.Report.depth)
+      cert
+  in
+  let cert_diags =
+    match check_cert with
+    | None -> check out.Compiler.certificate
+    | Some path -> (
+      match Analysis.Certificate.of_json (Json.parse (read_file path)) with
+      | exception Sys_error m ->
+        [ Lint.Diag.error ~code:"ANA010" Lint.Diag.Program_loc m ]
+      | exception Json.Parse_error m ->
+        [ Lint.Diag.error ~code:"ANA010" Lint.Diag.Program_loc
+            (Printf.sprintf "%s: %s" path m) ]
+      | cert -> check cert)
+  in
+  let trace =
+    { out.Compiler.trace with
+      Report.lint = out.Compiler.trace.Report.lint @ cert_diags }
+  in
+  let diags = trace.Report.lint in
+  let errors = Lint.Diag.errors diags in
+  if json then
+    (* a one-element list of the normalized record — the exact shape
+       bench/main.exe --json writes, so `bench compare` can diff the
+       gap columns of two analyze runs *)
+    let record =
+      Ph_pool.Batch.record ~bench:(Filename.basename file)
+        ~config_name:(config_name backend device schedule)
+        program out
     in
-    Ok (program, Compiler.compile config program)
-  with
-  | exception Sys_error m -> prerr_endline m; 1
-  | exception Failure m -> prerr_endline m; 1
-  | exception Ph_pauli_ir.Parser.Parse_error m ->
-    Printf.eprintf "parse error: %s\n" m;
-    1
-  | Error (`Msg m) -> prerr_endline m; 1
-  | Ok (program, out) ->
-    let metrics = out.Compiler.metrics in
-    (* under --schedule phoenix the certificate is over the optimizer's
-       rewritten program, which the compile output carries *)
-    let cert_program =
-      Option.value out.Compiler.opt_program ~default:program
-    in
-    let check cert =
-      Analysis.Certificate.check ~program:cert_program
-        ~metrics:(metrics.Report.cnot, metrics.Report.single, metrics.Report.depth)
-        cert
-    in
-    let cert_diags =
-      match check_cert with
-      | None -> check out.Compiler.certificate
-      | Some path -> (
-        match Analysis.Certificate.of_json (Json.parse (read_file path)) with
-        | exception Sys_error m ->
-          [ Lint.Diag.error ~code:"ANA010" Lint.Diag.Program_loc m ]
-        | exception Json.Parse_error m ->
-          [ Lint.Diag.error ~code:"ANA010" Lint.Diag.Program_loc
-              (Printf.sprintf "%s: %s" path m) ]
-        | cert -> check cert)
-    in
-    let trace =
-      { out.Compiler.trace with
-        Report.lint = out.Compiler.trace.Report.lint @ cert_diags }
-    in
-    let diags = trace.Report.lint in
-    let errors = Lint.Diag.errors diags in
-    if json then
-      (* a one-element list of the normalized record — the exact shape
-         bench/main.exe --json writes, so `bench compare` can diff the
-         gap columns of two analyze runs *)
-      let record =
-        Report.normalize_record
-          {
-            Report.bench = Filename.basename file;
-            config = config_name backend device schedule;
-            qubits = Ph_pauli_ir.Program.n_qubits program;
-            paulis = Ph_pauli_ir.Program.term_count program;
-            metrics;
-            trace;
-          }
-      in
-      print_endline
-        (Json.to_string ~indent:true (Json.List [ Report.record_to_json record ]))
-    else begin
-      List.iter (fun d -> print_endline (Lint.Diag.to_string d)) diags;
-      (match trace.Report.analysis with
-      | Some s -> print_endline (Format.asprintf "%a" Analysis.Gap.pp s)
-      | None -> ());
-      let cert = out.Compiler.certificate in
-      Printf.printf "certificate: %s (%d layer(s), %d block(s), est depth %d)\n"
-        (if cert_diags = [] then "ok" else "INVALID")
-        (List.length cert.Analysis.Certificate.layers)
-        cert.Analysis.Certificate.blocks
-        cert.Analysis.Certificate.est_depth_total
-    end;
-    if errors = [] then 0 else 3
+    let record = Report.normalize_record { record with Report.trace } in
+    print_endline
+      (Json.to_string ~indent:true (Json.List [ Report.record_to_json record ]))
+  else begin
+    List.iter (fun d -> print_endline (Lint.Diag.to_string d)) diags;
+    (match trace.Report.analysis with
+    | Some s -> print_endline (Format.asprintf "%a" Analysis.Gap.pp s)
+    | None -> ());
+    let cert = out.Compiler.certificate in
+    Printf.printf "certificate: %s (%d layer(s), %d block(s), est depth %d)\n"
+      (if cert_diags = [] then "ok" else "INVALID")
+      (List.length cert.Analysis.Certificate.layers)
+      cert.Analysis.Certificate.blocks
+      cert.Analysis.Certificate.est_depth_total
+  end;
+  if errors = [] then 0 else 3
 
 let check_cert_arg =
   Arg.(value & opt (some file) None & info [ "check-cert" ] ~docv:"FILE"

@@ -46,23 +46,3 @@ val compile : Config.t -> Program.t -> output
 (** Error-severity lint findings of a compile ([[]] when linting was
     off or clean). *)
 val lint_errors : output -> Ph_lint.Diag.t list
-
-(** [compile_ft program] with default FT configuration. *)
-val compile_ft :
-  ?schedule:Config.schedule ->
-  ?lint:Ph_lint.Diag.level ->
-  ?window:int ->
-  ?sched_jobs:int ->
-  Program.t ->
-  output
-
-(** [compile_sc ~coupling program] with default SC configuration. *)
-val compile_sc :
-  ?schedule:Config.schedule ->
-  ?noise:Noise_model.t ->
-  ?lint:Ph_lint.Diag.level ->
-  ?window:int ->
-  ?sched_jobs:int ->
-  coupling:Coupling.t ->
-  Program.t ->
-  output

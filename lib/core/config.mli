@@ -68,8 +68,8 @@ val default_window : int
     enough to flag a schedule an order of magnitude off its floor. *)
 val default_gap_threshold : float
 
-(** FT defaults: DO scheduling (the paper's headline FT configuration
-    pairs naturally with either; see Table 4), peephole on. *)
+(** FT defaults: GCO scheduling (Table 4 compares it with DO),
+    peephole on. *)
 val ft :
   ?schedule:schedule ->
   ?lint:Ph_lint.Diag.level ->

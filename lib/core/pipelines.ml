@@ -23,18 +23,7 @@ let of_output (o : Compiler.output) =
     trace = o.trace;
   }
 
-let ph_ft ?schedule ?lint ?window ?sched_jobs prog =
-  of_output (Compiler.compile_ft ?schedule ?lint ?window ?sched_jobs prog)
-
-let ph_sc ?schedule ?noise ?lint ?window ?sched_jobs coupling prog =
-  of_output
-    (Compiler.compile_sc ?schedule ?noise ?lint ?window ?sched_jobs ~coupling
-       prog)
-
-let ph_it ?schedule ?lint ?window ?sched_jobs prog =
-  of_output
-    (Compiler.compile (Config.ion_trap ?schedule ?lint ?window ?sched_jobs ())
-       prog)
+let ph config prog = of_output (Compiler.compile config prog)
 
 (* Trace of a baseline stage: synthesis + peephole only (plus SWAP
    decomposition on SC); scheduling counters stay zero. *)
@@ -117,8 +106,9 @@ let qaoa_sc coupling prog =
     ~final_layout:r.Qaoa_compiler.final_layout r.Qaoa_compiler.circuit
 
 let verified run =
-  match run.initial_layout, run.final_layout with
-  | Some initial, Some final ->
-    Ph_verify.Pauli_frame.verify_sc ~circuit:run.circuit ~trace:run.rotations
-      ~initial ~final
-  | _ -> Ph_verify.Pauli_frame.verify_ft run.circuit ~trace:run.rotations
+  let layouts =
+    match run.initial_layout, run.final_layout with
+    | Some initial, Some final -> Some (initial, final)
+    | _ -> None
+  in
+  Ph_verify.Pauli_frame.verify ?layouts ~trace:run.rotations run.circuit

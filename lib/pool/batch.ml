@@ -78,47 +78,60 @@ let record_of_payload payload =
     try Some (Report.record_of_json r) with Json.Parse_error _ -> None)
   | _ -> None
 
-(* ---------- one compile job (runs on a worker domain) ---------- *)
+(* ---------- the request-to-record path ---------- *)
+
+(* Every service (batch, serve, phc, bench) turns a request into a record
+   or a staged failure through these functions, so they accept the same
+   inputs, key the cache the same way and report the same record. *)
+
+let parse ~params source =
+  match Parser.parse ~params source with
+  | program -> Stdlib.Ok program
+  | exception Parser.Parse_error m -> Stdlib.Error m
+  | exception e -> Stdlib.Error (Printexc.to_string e)
+
+let cache_key config program =
+  if Config.cacheable config then
+    Some
+      (Cache.key ~config_fp:(Config.fingerprint config)
+         ~text:(canonical_text program))
+  else None
+
+let lookup cache key ~bench ~config_name =
+  Option.map
+    (fun (r : Report.record) -> { r with Report.bench; config = config_name })
+    (Option.bind (Cache.find cache key) record_of_payload)
+
+let record ~bench ~config_name program (out : Compiler.output) =
+  {
+    Report.bench;
+    config = config_name;
+    qubits = Program.n_qubits program;
+    paulis = Program.term_count program;
+    metrics = out.Compiler.metrics;
+    trace = out.Compiler.trace;
+  }
 
 let frame_verified (out : Compiler.output) =
-  match out.Compiler.initial_layout, out.Compiler.final_layout with
-  | Some initial, Some final ->
-    Ph_verify.Pauli_frame.verify_sc ~circuit:out.Compiler.circuit
-      ~trace:out.Compiler.rotations ~initial ~final
-  | _ ->
-    Ph_verify.Pauli_frame.verify_ft out.Compiler.circuit
-      ~trace:out.Compiler.rotations
+  let layouts =
+    match out.Compiler.initial_layout, out.Compiler.final_layout with
+    | Some initial, Some final -> Some (initial, final)
+    | _ -> None
+  in
+  Ph_verify.Pauli_frame.verify ?layouts ~trace:out.Compiler.rotations
+    out.Compiler.circuit
 
-let compile_one ~config ~config_name ~verify (j : job) prog : job_result =
-  match Compiler.compile config prog with
-  | exception e ->
-    Failed { job_id = j.id; stage = "compile"; message = Printexc.to_string e }
-  | out ->
-    let lint_errors = Compiler.lint_errors out in
-    if config.Config.lint = Lint.Diag.Error_level && lint_errors <> [] then
-      Failed
-        {
-          job_id = j.id;
-          stage = "lint";
-          message = Lint.Diag.to_string (List.hd lint_errors);
-        }
-    else if verify && not (frame_verified out) then
-      Failed
-        {
-          job_id = j.id;
-          stage = "verify";
-          message = "Pauli-frame verification failed";
-        }
-    else
-      Ok
-        {
-          Report.bench = j.name;
-          config = config_name;
-          qubits = Program.n_qubits prog;
-          paulis = Program.term_count prog;
-          metrics = out.Compiler.metrics;
-          trace = out.Compiler.trace;
-        }
+let compile_checked ?(verify = true) ~config ~bench ~config_name program =
+  match Compiler.compile config program with
+  | exception e -> Stdlib.Error ("compile", Printexc.to_string e)
+  | out -> (
+    match Compiler.lint_errors out with
+    | d :: _ when config.Config.lint = Lint.Diag.Error_level ->
+      Stdlib.Error ("lint", Lint.Diag.to_string d)
+    | _ ->
+      if verify && not (frame_verified out) then
+        Stdlib.Error ("verify", "Pauli-frame verification failed")
+      else Stdlib.Ok (record ~bench ~config_name program out))
 
 (* ---------- the batch ---------- *)
 
@@ -130,9 +143,7 @@ type prep =
 
 let run ?cache ?(jobs = 1) ?(verify = true) ~config ~config_name job_list =
   let t0 = Unix.gettimeofday () in
-  let cacheable = Config.cacheable config in
-  let cache = if cacheable then cache else None in
-  let config_fp = Config.fingerprint config in
+  let cache = if Config.cacheable config then cache else None in
   let js = Array.of_list job_list in
   let n = Array.length js in
   (* Phase 1 (coordinator, submission order): parse, look up, coalesce. *)
@@ -140,36 +151,25 @@ let run ?cache ?(jobs = 1) ?(verify = true) ~config ~config_name job_list =
   let prep =
     Array.mapi
       (fun i (j : job) ->
-        match Parser.parse ~params:j.params j.source with
-        | exception Parser.Parse_error m ->
-          P_failed (Failed { job_id = j.id; stage = "parse"; message = m })
-        | exception e ->
-          P_failed
-            (Failed
-               { job_id = j.id; stage = "parse"; message = Printexc.to_string e })
-        | program -> (
-          let key =
-            if cacheable then
-              Some (Cache.key ~config_fp ~text:(canonical_text program))
-            else None
-          in
+        match parse ~params:j.params j.source with
+        | Stdlib.Error message ->
+          P_failed (Failed { job_id = j.id; stage = "parse"; message })
+        | Stdlib.Ok program -> (
+          let key = cache_key config program in
           let hit =
             match key, cache with
-            | Some k, Some c ->
-              Option.bind (Cache.find c k) record_of_payload
+            | Some k, Some c -> lookup c k ~bench:j.name ~config_name
             | _ -> None
           in
-          match hit with
-          | Some record -> P_hit { record with Report.bench = j.name }
-          | None -> (
-            match key with
-            | Some k -> (
-              match Hashtbl.find_opt seen k with
-              | Some i0 -> P_coalesce i0
-              | None ->
-                Hashtbl.add seen k i;
-                P_compile { key; program })
-            | None -> P_compile { key; program })))
+          match hit, key with
+          | Some record, _ -> P_hit record
+          | None, Some k -> (
+            match Hashtbl.find_opt seen k with
+            | Some i0 -> P_coalesce i0
+            | None ->
+              Hashtbl.add seen k i;
+              P_compile { key; program })
+          | None, None -> P_compile { key; program }))
       js
   in
   (* Phase 2 (pool): compile the unique misses. *)
@@ -183,7 +183,8 @@ let run ?cache ?(jobs = 1) ?(verify = true) ~config ~config_name job_list =
   let to_compile = List.rev !to_compile in
   let compiled =
     Pool.map_timed ~jobs
-      (fun (i, program) -> compile_one ~config ~config_name ~verify js.(i) program)
+      (fun (i, program) ->
+        compile_checked ~verify ~config ~bench:js.(i).name ~config_name program)
       to_compile
   in
   (* Phase 3 (coordinator, submission order): assemble and store. *)
@@ -191,16 +192,14 @@ let run ?cache ?(jobs = 1) ?(verify = true) ~config ~config_name job_list =
   let timings = Array.make n { Pool.queue_s = 0.; run_s = 0. } in
   List.iter2
     (fun (i, _) (result, timing) ->
+      let job_id = js.(i).id in
       let result =
         match result with
-        | Stdlib.Ok r -> r
+        | Stdlib.Ok (Stdlib.Ok record) -> Ok record
+        | Stdlib.Ok (Stdlib.Error (stage, message)) ->
+          Failed { job_id; stage; message }
         | Stdlib.Error e ->
-          Failed
-            {
-              job_id = js.(i).id;
-              stage = "compile";
-              message = Printexc.to_string e;
-            }
+          Failed { job_id; stage = "compile"; message = Printexc.to_string e }
       in
       results.(i) <- Some result;
       timings.(i) <- timing)

@@ -17,8 +17,6 @@ module Json = Ph_json
 module Pool = Ph_pool.Pool
 module Cache = Ph_pool.Cache
 module Batch = Ph_pool.Batch
-module Parser = Ph_pauli_ir.Parser
-module Program = Ph_pauli_ir.Program
 open Paulihedral
 
 type config = {
@@ -139,41 +137,6 @@ let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 let shutdown_quiet fd =
   try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
 
-(* ---------- one compile job (runs on a worker domain) ---------- *)
-
-type compile_result =
-  | R_ok of Report.record  (** raw record (timings intact, for stats) *)
-  | R_failed of string * string  (** stage, message *)
-
-let compile_now ~(req : Protocol.compile_request) ~config:cconfig ~config_name
-    ~cache ~key program =
-  match Compiler.compile cconfig program with
-  | exception e -> R_failed ("compile", Printexc.to_string e)
-  | out ->
-    let lint_errors = Compiler.lint_errors out in
-    if cconfig.Config.lint = Lint.Diag.Error_level && lint_errors <> [] then
-      R_failed ("lint", Lint.Diag.to_string (List.hd lint_errors))
-    else if req.Protocol.verify && not (Batch.frame_verified out) then
-      R_failed ("verify", "Pauli-frame verification failed")
-    else begin
-      let record =
-        {
-          Report.bench = req.Protocol.name;
-          config = config_name;
-          qubits = Program.n_qubits program;
-          paulis = Program.term_count program;
-          metrics = out.Compiler.metrics;
-          trace = out.Compiler.trace;
-        }
-      in
-      (* only verified compiles are published to the shared cache *)
-      (match key, cache with
-      | Some k, Some c when req.Protocol.verify ->
-        Cache.store c k (Batch.payload_of_record record)
-      | _ -> ());
-      R_ok record
-    end
-
 (* ---------- request dispatch (runs on a reader thread) ---------- *)
 
 let record_response ~id ~origin record =
@@ -215,14 +178,11 @@ let note_compiled t (record : Report.record) =
     fold tot.agg_gap_total s.Ph_analysis.Gap.gap_total
 
 let respond_compile t ~id (req : Protocol.compile_request) =
-  match Parser.parse ~params:req.Protocol.params req.Protocol.source with
-  | exception Parser.Parse_error m ->
+  match Batch.parse ~params:req.Protocol.params req.Protocol.source with
+  | Error m ->
     locked t (fun () -> t.counters.c_failed <- t.counters.c_failed + 1);
     Protocol.error ~id ~code:"parse" m
-  | exception e ->
-    locked t (fun () -> t.counters.c_failed <- t.counters.c_failed + 1);
-    Protocol.error ~id ~code:"parse" (Printexc.to_string e)
-  | program -> (
+  | Ok program -> (
     match
       Protocol.config_for ~analyze:req.Protocol.analyze
         ~sched_jobs:req.Protocol.sched_jobs ~backend:req.Protocol.backend
@@ -233,37 +193,38 @@ let respond_compile t ~id (req : Protocol.compile_request) =
       locked t (fun () -> t.counters.c_rejected <- t.counters.c_rejected + 1);
       Protocol.error ~id ~code:"bad_request" m
     | Ok cconfig -> (
+      let bench = req.Protocol.name in
       let config_name =
         Protocol.config_name ~backend:req.Protocol.backend
           ~device:req.Protocol.device ~schedule:req.Protocol.schedule
       in
-      let cache = if Config.cacheable cconfig then t.cfg.cache else None in
-      let key =
-        Option.map
-          (fun _ ->
-            Cache.key
-              ~config_fp:(Config.fingerprint cconfig)
-              ~text:(Batch.canonical_text program))
-          cache
-      in
-      let hit =
-        match key, cache with
-        | Some k, Some c -> Option.bind (Cache.find c k) Batch.record_of_payload
+      let cached =
+        match t.cfg.cache, Batch.cache_key cconfig program with
+        | Some c, Some k -> Some (c, k)
         | _ -> None
       in
-      match hit with
+      match
+        Option.bind cached (fun (c, k) -> Batch.lookup c k ~bench ~config_name)
+      with
       | Some record ->
-        (* warm answer: relabel to this request's identity, skip the pool
-           entirely — cache hits are served even under full queues *)
+        (* warm answer: skip the pool entirely — cache hits are served
+           even under full queues *)
         locked t (fun () ->
             t.counters.c_cache_hits <- t.counters.c_cache_hits + 1);
-        record_response ~id ~origin:"cache"
-          { record with Report.bench = req.Protocol.name; config = config_name }
+        record_response ~id ~origin:"cache" record
       | None -> (
         let result = cell () in
         let job () =
-          cell_fill result
-            (compile_now ~req ~config:cconfig ~config_name ~cache ~key program)
+          let r =
+            Batch.compile_checked ~verify:req.Protocol.verify ~config:cconfig
+              ~bench ~config_name program
+          in
+          (* only verified compiles are published to the shared cache *)
+          (match r, cached with
+          | Ok record, Some (c, k) when req.Protocol.verify ->
+            Cache.store c k (Batch.payload_of_record record)
+          | _ -> ());
+          cell_fill result r
         in
         let admission =
           locked t (fun () ->
@@ -294,13 +255,13 @@ let respond_compile t ~id (req : Protocol.compile_request) =
               t.active <- t.active - 1;
               Condition.broadcast t.cond;
               match r with
-              | R_ok record ->
+              | Ok record ->
                 t.counters.c_compiled <- t.counters.c_compiled + 1;
                 note_compiled t record
-              | R_failed _ -> t.counters.c_failed <- t.counters.c_failed + 1);
+              | Error _ -> t.counters.c_failed <- t.counters.c_failed + 1);
           match r with
-          | R_ok record -> record_response ~id ~origin:"compiled" record
-          | R_failed (stage, m) -> Protocol.error ~id ~code:stage m))))
+          | Ok record -> record_response ~id ~origin:"compiled" record
+          | Error (stage, m) -> Protocol.error ~id ~code:stage m))))
 
 let stats_json t =
   let pool_stats = Pool.worker_stats t.pool in

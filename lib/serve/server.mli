@@ -9,10 +9,14 @@
     across requests (and across restarts, when its disk tier is
     enabled).
 
-    Responses are byte-identical to [phc compile --json --normalize]
-    for the same (source, options): the record is relabeled from the
-    request, normalized with [Report.normalize_record] and serialized
-    by the same [Report.record_to_json].
+    A compile request takes the same path as a [phc batch] job
+    ([Ph_pool.Batch.parse], [cache_key] / [lookup], then
+    [compile_checked] on a worker; only verified records are stored),
+    so responses are byte-identical to [phc compile --json --normalize]
+    and to the normalized [phc batch] record for the same (source,
+    options): the record carries the request's [name] and config name,
+    is normalized with [Report.normalize_record] and serialized by the
+    same [Report.record_to_json].
 
     {b Drain sequence} (SIGTERM / SIGINT / [shutdown] request /
     {!drain}): stop accepting connections → refuse new compile

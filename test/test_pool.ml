@@ -344,6 +344,28 @@ let test_batch_stale_fingerprint_misses () =
        (fun (o : Batch.outcome) -> o.Batch.origin = Batch.Compiled)
        rerun.Batch.outcomes)
 
+(* A cache hit is relabeled to the requester's identity: a rerun under
+   another config name with an equal fingerprint (sched_jobs is not part
+   of it) must report its own config on every cache-served record. *)
+let test_batch_cache_relabels_config () =
+  let cache = Cache.create () in
+  let js = jobs_of (corpus ()) in
+  let _ = Batch.run ~cache ~jobs:2 ~config:ft_config ~config_name:"A" js in
+  let config_b = Config.ft ~sched_jobs:2 () in
+  check_str "equal fingerprints" (Config.fingerprint ft_config)
+    (Config.fingerprint config_b);
+  let rerun = Batch.run ~cache ~jobs:2 ~config:config_b ~config_name:"B" js in
+  check_int "every job served from the cache" (List.length js)
+    rerun.Batch.stats.Report.cache_hits;
+  List.iter
+    (fun (o : Batch.outcome) ->
+      match o.Batch.result with
+      | Batch.Ok r ->
+        check_str "config relabeled" "B" r.Report.config;
+        check_str "bench relabeled" o.Batch.job.Batch.name r.Report.bench
+      | Batch.Failed _ -> Alcotest.fail "cache-served job failed")
+    rerun.Batch.outcomes
+
 let test_batch_coalesces_duplicates () =
   let js =
     jobs_of
@@ -407,6 +429,8 @@ let () =
             test_batch_cache_warm_rerun;
           Alcotest.test_case "stale config fingerprint misses" `Quick
             test_batch_stale_fingerprint_misses;
+          Alcotest.test_case "cache hits relabeled to the requester's config"
+            `Quick test_batch_cache_relabels_config;
           Alcotest.test_case "in-batch duplicates coalesce" `Quick
             test_batch_coalesces_duplicates;
         ] );

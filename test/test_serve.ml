@@ -10,6 +10,7 @@ module Protocol = Ph_serve.Protocol
 module Server = Ph_serve.Server
 module Client = Ph_serve.Client
 module Bomb = Ph_serve.Bomb
+module Batch = Ph_pool.Batch
 
 let check = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
@@ -166,6 +167,17 @@ let test_compile_byte_identity () =
               trace = out.Compiler.trace;
             }))
   in
+  (* the same source as a phc batch job: its normalized record too *)
+  let batched =
+    match
+      (Batch.run ~config:(Config.ft ()) ~config_name:"ft/gco"
+         [ Batch.job ~id:0 ~name:"ident" source ])
+        .Batch.outcomes
+    with
+    | [ { Batch.result = Batch.Ok r; _ } ] ->
+      str_of (Report.record_to_json (Report.normalize_record r))
+    | _ -> Alcotest.fail "batch compile failed"
+  in
   with_server ~jobs:2 (fun server ->
       with_client server (fun conn ->
           let response =
@@ -176,7 +188,9 @@ let test_compile_byte_identity () =
           check "compiled origin" true
             (Json.member "origin" response = Some (Json.String "compiled"));
           match Json.member "record" response with
-          | Some record -> check_str "record bytes" expected (str_of record)
+          | Some record ->
+            check_str "record bytes" expected (str_of record);
+            check_str "batch record bytes" batched (str_of record)
           | None -> Alcotest.fail "no record in response"))
 
 let test_cache_hit_origin () =
@@ -193,6 +207,44 @@ let test_cache_hit_origin () =
           check_str "identical records"
             (str_of (Option.get (Json.member "record" first)))
             (str_of (Option.get (Json.member "record" second)))))
+
+(* One cache shared by batch and the daemon: an entry either service
+   stored is served by the other, relabeled to the requester's name and
+   config. *)
+let test_shared_cache_relabels () =
+  let cache = Ph_pool.Cache.create () in
+  let other = "{(XY, 1.0), 0.5};\n" in
+  let batch src =
+    Batch.run ~cache ~config:(Config.ft ()) ~config_name:"batch-ft"
+      [ Batch.job ~id:0 ~name:"from-batch" src ]
+  in
+  ignore (batch source);
+  with_server ~cache (fun server ->
+      with_client server (fun conn ->
+          let served =
+            expect_ok
+              (Client.request conn ~id:(Json.Int 1)
+                 (Protocol.compile_request ~name:"from-daemon" source))
+          in
+          check "daemon serves the batch entry" true
+            (Json.member "origin" served = Some (Json.String "cache"));
+          let record = Option.get (Json.member "record" served) in
+          check "relabeled to the request" true
+            (Json.member "bench" record = Some (Json.String "from-daemon")
+            && Json.member "config" record = Some (Json.String "ft/gco"));
+          let stored =
+            expect_ok
+              (Client.request conn ~id:(Json.Int 2)
+                 (Protocol.compile_request ~name:"from-daemon" other))
+          in
+          check "daemon compiles the other source" true
+            (Json.member "origin" stored = Some (Json.String "compiled"))));
+  match (batch other).Batch.outcomes with
+  | [ { Batch.result = Batch.Ok r; origin; _ } ] ->
+    check "batch serves the daemon entry" true (origin = Batch.From_cache);
+    check_str "bench relabeled" "from-batch" r.Report.bench;
+    check_str "config relabeled" "batch-ft" r.Report.config
+  | _ -> Alcotest.fail "batch job failed"
 
 let test_ping_and_stats () =
   with_server (fun server ->
@@ -366,6 +418,8 @@ let () =
             test_compile_byte_identity;
           Alcotest.test_case "second identical request hits the cache" `Quick
             test_cache_hit_origin;
+          Alcotest.test_case "cache shared with batch, relabeled both ways"
+            `Quick test_shared_cache_relabels;
           Alcotest.test_case "ping and stats" `Quick test_ping_and_stats;
           Alcotest.test_case "malformed line, connection stays usable" `Quick
             test_malformed_then_usable;
