@@ -736,7 +736,7 @@ let load_records path =
   close_in ic;
   List.map Report.record_of_json (Json.to_list (Json.parse s))
 
-let compare_reports ?fail_on a_path b_path =
+let compare_reports a_path b_path =
   let load path =
     try load_records path
     with
@@ -872,29 +872,7 @@ let compare_reports ?fail_on a_path b_path =
         "skipped %d zero/absent-valued cells across %d matched rows (not \
          folded into geomeans)\n"
         !skipped !matched;
-    match fail_on with
-    | None -> 0
-    | Some pct ->
-      (* Gate on the deterministic gate-count geomeans only — wall-clock
-         time is too noisy for a CI threshold. *)
-      let threshold = 1. +. (pct /. 100.) in
-      let regressed =
-        List.filter_map
-          (fun (name, rs) ->
-            if rs <> [] && Report.geomean rs > threshold then
-              Some (Printf.sprintf "%s %.3fx" name (Report.geomean rs))
-            else None)
-          [ "cnot", !ratios_cnot; "total", !ratios_total; "depth", !ratios_depth ]
-      in
-      if regressed = [] then begin
-        Printf.printf "regression gate: OK (threshold +%.1f%%)\n" pct;
-        0
-      end
-      else begin
-        Printf.printf "regression gate: FAILED (threshold +%.1f%%): %s\n" pct
-          (String.concat ", " regressed);
-        1
-      end
+    0
   end
 
 (* ---------- serve: daemon throughput / latency study ---------- *)
@@ -1009,7 +987,7 @@ let experiments =
 let usage () =
   prerr_endline
     "usage: main.exe [table1|table2-sc|table2-ft|table3|table4-sched|table4-bc|fig11|ablation|scale|timing] [benchmark names...] [--json FILE] [--lint] [--jobs N] [--sched-jobs N] [--cache DIR]\n\
-    \       main.exe compare A.json B.json [--fail-on-regression PCT]\n\
+    \       main.exe compare A.json B.json\n\
     \       main.exe serve [benchmark names...] [--clients N] [--rps R] [--duration S] [--jobs N] [--cache DIR]\n\
     \       main.exe history record --commit LABEL [--db FILE] [--suite ft|sc|scale|all] [--jobs N]\n\
     \       main.exe history import FILE.json --commit LABEL [--db FILE]\n\
@@ -1279,16 +1257,9 @@ let () =
   (match cache_dir with
   | Some dir -> bench_cache := Some (Ph_pool.Cache.create ~dir ())
   | None -> ());
-  let fail_on, args = extract_opt "--fail-on-regression" [] args in
-  let fail_on =
-    Option.map
-      (fun s ->
-        match float_of_string_opt s with Some f -> f | None -> usage ())
-      fail_on
-  in
   json_enabled := json_path <> None;
   (match args with
-  | "compare" :: a :: b :: _ -> exit (compare_reports ?fail_on a b)
+  | "compare" :: a :: b :: _ -> exit (compare_reports a b)
   | "compare" :: _ -> usage ()
   | "history" :: rest -> exit (history_entry rest)
   | "serve" :: rest ->
@@ -1310,8 +1281,5 @@ let () =
   (match json_path with Some path -> write_json path | None -> ());
   match !bench_cache with
   | Some cache ->
-    let c = Ph_pool.Cache.counters cache in
-    Printf.printf "cache: hits=%d (mem %d, disk %d) misses=%d stores=%d evictions=%d\n"
-      (Ph_pool.Cache.hits c) c.Ph_pool.Cache.hits_mem c.Ph_pool.Cache.hits_disk
-      c.Ph_pool.Cache.misses c.Ph_pool.Cache.stores c.Ph_pool.Cache.evictions
+    print_endline (Ph_pool.Cache.summary (Ph_pool.Cache.counters cache))
   | None -> ()

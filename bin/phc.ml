@@ -291,10 +291,7 @@ let run_batch files backend device schedule window sched_jobs params lint jobs
             o.Ph_pool.Batch.job.Ph_pool.Batch.name f.stage f.message)
       batch.Ph_pool.Batch.outcomes;
     (match batch.Ph_pool.Batch.cache_counters with
-    | Some c ->
-      Printf.printf "cache: hits=%d (mem %d, disk %d) misses=%d stores=%d evictions=%d\n"
-        (Ph_pool.Cache.hits c) c.Ph_pool.Cache.hits_mem c.Ph_pool.Cache.hits_disk
-        c.Ph_pool.Cache.misses c.Ph_pool.Cache.stores c.Ph_pool.Cache.evictions
+    | Some c -> print_endline (Ph_pool.Cache.summary c)
     | None -> ());
     let ok = Ph_pool.Batch.ok_count batch in
     let n_failed = List.length (Ph_pool.Batch.failed batch) in
@@ -632,6 +629,10 @@ let address_of ~socket ~host ~port =
 let run_serve socket host port jobs max_queue cache_dir =
   if jobs < 1 then begin
     prerr_endline "serve: --jobs must be positive";
+    1
+  end
+  else if max_queue < 0 then begin
+    prerr_endline "serve: --max-queue must be >= 0";
     1
   end
   else begin

@@ -143,10 +143,10 @@ let run ?(log = fun _ -> ()) cfg =
     match deadline with Some d -> Unix.gettimeofday () > d | None -> false
   in
   (* Case evaluation fans out across the domain pool; a case whose turn
-     comes after the deadline is skipped.  With [jobs = 1] the pool runs
-     inline in submission order, reproducing the sequential time-budget
-     prefix exactly; with [jobs > 1] the cut is approximate (cases
-     in flight at the deadline still finish). *)
+     comes after the deadline is skipped.  With [jobs = 1] [Pool.map]
+     runs on this domain in case order, reproducing the sequential
+     time-budget prefix exactly; with [jobs > 1] the cut is approximate
+     (cases in flight at the deadline still finish). *)
   let evals =
     Ph_pool.Pool.map ~jobs:(max 1 cfg.jobs)
       (fun i -> if out_of_time () then None else Some (evaluate cfg i))

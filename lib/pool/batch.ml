@@ -223,16 +223,17 @@ let run ?cache ?(jobs = 1) ?(verify = true) ~config ~config_name job_list =
              { job = j; result; origin = Coalesced })
          js)
   in
+  (* only verified compiles are published to the shared cache *)
   (match cache with
-  | None -> ()
-  | Some c ->
+  | Some c when verify ->
     Array.iteri
       (fun i p ->
         match p, results.(i) with
         | P_compile { key = Some k; _ }, Some (Ok record) ->
           Cache.store c k (payload_of_record record)
         | _ -> ())
-      prep);
+      prep
+  | _ -> ());
   let served, compiled_n =
     List.fold_left
       (fun (h, m) o ->

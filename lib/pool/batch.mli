@@ -124,10 +124,10 @@ val compile_checked :
 (** [run ?cache ?jobs ?verify ~config ~config_name batch].  [jobs]
     (default 1) sizes the worker pool; [verify] (default [true]) runs
     the Pauli-frame verifier on every compiled job.  Compiled [Ok]
-    records are stored into [cache] (unverified ones too under
-    [verify = false]); hits are relabeled to the job's name and
-    [config_name].  When [Config.cacheable config] is false the cache is
-    bypassed entirely. *)
+    records are stored into [cache] only under [verify] (a
+    [verify = false] run still reads it); hits are relabeled to the
+    job's name and [config_name].  When [Config.cacheable config] is
+    false the cache is bypassed entirely. *)
 val run :
   ?cache:Cache.t ->
   ?jobs:int ->

@@ -54,3 +54,7 @@ val store : t -> string -> Ph_json.t -> unit
 val counters : t -> counters
 val hits : counters -> int
 val counters_to_json : counters -> Ph_json.t
+
+(** One-line human summary,
+    [cache: hits=H (mem M, disk D) misses=N stores=S evictions=E]. *)
+val summary : counters -> string

@@ -1,20 +1,18 @@
-(* Domain worker pool: a FIFO of thunks behind a mutex, a condition
-   variable each for "queue non-empty" (workers) and "all jobs done"
-   (waiters).  Results flow back through whatever the thunks capture;
-   the mutex hand-off on [pending] gives the happens-before edge that
-   makes those writes visible to the waiter. *)
+(* Domain worker pool: a FIFO of jobs behind one mutex, a condition
+   variable for "queue non-empty" (workers) and one for "a job finished"
+   (awaiters and [shutdown]).  A job fills its promise under the mutex,
+   which gives the happens-before edge that makes the answer visible to
+   its awaiter. *)
 
 type t = {
-  n_workers : int;
   queue : (unit -> unit) Queue.t;
   mutex : Mutex.t;
   nonempty : Condition.t;
-  idle : Condition.t;
-  mutable pending : int; (* submitted and not yet finished *)
-  mutable stop : bool;
-  mutable domains : unit Domain.t list;
+  finished : Condition.t;
+  mutable pending : int; (* admitted and not yet finished *)
   mutable closed : bool;
-  mutable unexpected : int; (* raw thunk exceptions that escaped a job *)
+  mutable domains : unit Domain.t list;
+  mutable unexpected : int; (* jobs that raised *)
   mutable last_unexpected : string option;
   mutable dead_workers : int; (* workers killed by a fatal runtime exception *)
 }
@@ -25,17 +23,23 @@ type worker_stats = {
   dead_workers : int;
 }
 
-let workers t = t.n_workers
+type timing = { queue_s : float; run_s : float }
+
+type 'a promise = {
+  pool : t;
+  mutable answer : (('a, exn) result * timing) option;
+}
 
 let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
-(* Runs with the lock held; returns with the lock held. *)
+(* Runs with the lock held; returns with the lock held.  Queued jobs are
+   drained before a closed pool lets its workers exit. *)
 let next_job t =
   let rec go () =
     if not (Queue.is_empty t.queue) then Some (Queue.pop t.queue)
-    else if t.stop then None
+    else if t.closed then None
     else begin
       Condition.wait t.nonempty t.mutex;
       go ()
@@ -43,107 +47,97 @@ let next_job t =
   in
   go ()
 
-let finish_one t =
-  t.pending <- t.pending - 1;
-  if t.pending = 0 then Condition.broadcast t.idle
-
-(* Fatal runtime conditions: after these the worker's state (heap, C
-   stack) cannot be trusted, so the worker must not keep serving jobs.
-   Everything else is an ordinary bug in a raw [submit] thunk ([map]
-   wraps its jobs in [Result], so nothing ever reaches this path from
-   there) — counted, not swallowed silently, and the worker lives on. *)
-let is_fatal = function
-  | Out_of_memory | Stack_overflow -> true
-  | _ -> false
-
-(* Account for a job body that raised.  Runs the [finish_one] bookkeeping
-   so [wait] never wedges on a raising job; returns whether the caller
-   must stop running jobs (fatal case). *)
-let note_unexpected t e =
-  locked t (fun () ->
-      t.unexpected <- t.unexpected + 1;
-      t.last_unexpected <- Some (Printexc.to_string e);
-      if is_fatal e then t.dead_workers <- t.dead_workers + 1;
-      finish_one t);
-  is_fatal e
-
 let rec worker t () =
-  let rec loop () =
-    Mutex.lock t.mutex;
-    match next_job t with
-    | None -> Mutex.unlock t.mutex
-    | Some job ->
-      Mutex.unlock t.mutex;
-      (match job () with
-      | () ->
-        locked t (fun () -> finish_one t);
-        loop ()
-      | exception e ->
-        (* A raising thunk must not wedge [wait] — but it is a contract
-           violation worth surfacing ({!worker_stats}), and a fatal
-           runtime exception must not leave this worker serving jobs
-           from a state it cannot trust: spawn a replacement (so queued
-           jobs are not stranded) and die loudly. *)
-        if note_unexpected t e then begin
-          (try
-             locked t (fun () ->
-                 if not t.stop then
-                   t.domains <- Domain.spawn (worker t) :: t.domains)
-           with _ -> ());
-          raise e
-        end
-        else loop ())
-  in
-  loop ()
+  match locked t (fun () -> next_job t) with
+  | None -> ()
+  | Some job -> (
+    match job () with
+    | () -> worker t ()
+    | exception e ->
+      (* Only a fatal exception escapes a job (see [try_submit]), after
+         its promise is filled.  This worker's state (heap, C stack) can
+         no longer be trusted: spawn a replacement, so queued jobs are
+         not stranded, and die loudly. *)
+      (try
+         locked t (fun () ->
+             if not t.closed then
+               t.domains <- Domain.spawn (worker t) :: t.domains)
+       with _ -> ());
+      raise e)
 
-let create ?(inline_single = true) n =
+let create n =
   if n < 1 then invalid_arg "Pool.create: need at least one worker";
   let t =
     {
-      n_workers = n;
       queue = Queue.create ();
       mutex = Mutex.create ();
       nonempty = Condition.create ();
-      idle = Condition.create ();
+      finished = Condition.create ();
       pending = 0;
-      stop = false;
-      domains = [];
       closed = false;
+      domains = [];
       unexpected = 0;
       last_unexpected = None;
       dead_workers = 0;
     }
   in
-  (* n = 1, inline mode (the batch default): jobs run at [wait] time on
-     the submitting domain, in submission order.  No spawn, no
-     scheduling jitter: `--jobs 1` is exactly the sequential program.
-     A service ([inline_single = false]) always spawns, because its
-     submitters block on individual results and never call [wait]. *)
-  if n > 1 || not inline_single then
-    t.domains <- List.init n (fun _ -> Domain.spawn (worker t));
+  t.domains <- List.init n (fun _ -> Domain.spawn (worker t));
   t
 
-let submit t job =
-  locked t (fun () ->
-      if t.closed then invalid_arg "Pool.submit: pool is shut down";
-      Queue.push job t.queue;
-      t.pending <- t.pending + 1;
-      Condition.signal t.nonempty)
+let timed ~submitted f =
+  let start = Unix.gettimeofday () in
+  let r = try Ok (f ()) with e -> Error e in
+  r, { queue_s = start -. submitted; run_s = Unix.gettimeofday () -. start }
+
+(* Fatal runtime conditions: after these the worker must not keep
+   serving jobs.  Every other exception is an ordinary job failure,
+   answered through the promise and counted in [worker_stats]. *)
+let is_fatal = function
+  | Out_of_memory | Stack_overflow -> true
+  | _ -> false
 
 (* Admission control: accept only while fewer than [max_pending] jobs
    are admitted-but-unfinished (queued or running).  The check and the
    enqueue are one critical section, so concurrent submitters can never
    overshoot the bound. *)
-let try_submit t ~max_pending job =
+let try_submit t ~max_pending f =
+  let p = { pool = t; answer = None } in
+  let submitted = Unix.gettimeofday () in
+  let job () =
+    let ((r, _) as answer) = timed ~submitted f in
+    locked t (fun () ->
+        (match r with
+        | Ok _ -> ()
+        | Error e ->
+          t.unexpected <- t.unexpected + 1;
+          t.last_unexpected <- Some (Printexc.to_string e);
+          if is_fatal e then t.dead_workers <- t.dead_workers + 1);
+        t.pending <- t.pending - 1;
+        p.answer <- Some answer;
+        Condition.broadcast t.finished);
+    match r with Error e when is_fatal e -> raise e | _ -> ()
+  in
   locked t (fun () ->
       if t.closed then invalid_arg "Pool.try_submit: pool is shut down";
-      if t.pending >= max_pending then false
+      if t.pending >= max_pending then None
       else begin
         Queue.push job t.queue;
         t.pending <- t.pending + 1;
         Condition.signal t.nonempty;
-        true
+        Some p
       end)
+
+let await p =
+  let t = p.pool in
+  locked t (fun () ->
+      let rec go () =
+        match p.answer with
+        | Some answer -> answer
+        | None ->
+          Condition.wait t.finished t.mutex;
+          go ()
+      in
+      go ())
 
 let pending t = locked t (fun () -> t.pending)
 
@@ -155,36 +149,13 @@ let worker_stats t =
         dead_workers = t.dead_workers;
       })
 
-let drain_inline t =
-  let rec go () =
-    let job = locked t (fun () -> Queue.take_opt t.queue) in
-    match job with
-    | None -> ()
-    | Some job ->
-      (match job () with
-      | () -> locked t (fun () -> finish_one t)
-      | exception e ->
-        (* Inline mode runs on the submitter's own domain: account the
-           failure, and let a fatal exception propagate to the caller
-           (there is no worker to sacrifice). *)
-        if note_unexpected t e then raise e);
-      go ()
-  in
-  go ()
-
-let wait t =
-  if t.domains = [] then drain_inline t;
-  locked t (fun () ->
-      while t.pending > 0 do
-        Condition.wait t.idle t.mutex
-      done)
-
 let shutdown t =
-  wait t;
   let domains =
     locked t (fun () ->
+        while t.pending > 0 do
+          Condition.wait t.finished t.mutex
+        done;
         t.closed <- true;
-        t.stop <- true;
         Condition.broadcast t.nonempty;
         let ds = t.domains in
         t.domains <- [];
@@ -195,50 +166,23 @@ let shutdown t =
      must still release every remaining domain. *)
   List.iter (fun d -> try Domain.join d with _ -> ()) domains
 
-type timing = { queue_s : float; run_s : float }
-
+(* One job runs on the caller's domain in list order: no spawn, no
+   scheduling jitter, so `--jobs 1` is exactly the sequential program. *)
 let map_timed ~jobs f xs =
-  match xs with
-  | [] -> []
-  | _ ->
-    let n = List.length xs in
-    let jobs = max 1 (min jobs n) in
-    let results = Array.make n None in
+  let jobs = min jobs (List.length xs) in
+  if jobs <= 1 then
+    let submitted = Unix.gettimeofday () in
+    List.map (fun x -> timed ~submitted (fun () -> f x)) xs
+  else begin
     let pool = create jobs in
-    List.iteri
-      (fun i x ->
-        let submitted = Unix.gettimeofday () in
-        submit pool (fun () ->
-            let start = Unix.gettimeofday () in
-            let r = try Ok (f x) with e -> Error e in
-            let finish = Unix.gettimeofday () in
-            results.(i) <-
-              Some (r, { queue_s = start -. submitted; run_s = finish -. start })))
-      xs;
-    wait pool;
+    let promises =
+      List.map
+        (fun x -> Option.get (try_submit pool ~max_pending:max_int (fun () -> f x)))
+        xs
+    in
+    let answers = List.map await promises in
     shutdown pool;
-    Array.to_list (Array.map Option.get results)
+    answers
+  end
 
 let map ~jobs f xs = List.map fst (map_timed ~jobs f xs)
-
-(* [parallel_for] rides the process-wide scan team ([Ph_exec.Team])
-   instead of this module's own worker pool: the team's domains are
-   parked between dispatches, so per-call overhead is two mutex
-   hand-offs rather than a spawn/join cycle — the right shape for many
-   small loops inside one compile.  When the team is busy (for example
-   a pool worker's scheduler already holds it) the loop runs inline,
-   which under the Team determinism contract produces identical
-   output. *)
-let parallel_for ~jobs ~chunks f =
-  if chunks < 0 then invalid_arg "Pool.parallel_for: negative chunk count"
-  else if chunks = 0 then ()
-  else
-    match Ph_exec.Team.try_acquire jobs with
-    | None ->
-      for k = 0 to chunks - 1 do
-        f k
-      done
-    | Some team ->
-      Fun.protect
-        ~finally:(fun () -> Ph_exec.Team.release team)
-        (fun () -> Ph_exec.Team.run team ~chunks f)

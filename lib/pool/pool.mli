@@ -2,61 +2,16 @@
     queue.
 
     Workers are OCaml 5 [Domain]s; jobs are closures pulled from a FIFO
-    queue.  A job that raises does not kill its worker or the batch: the
-    exception is captured and returned to the submitter
-    (fault isolation).  [map] preserves submission order in its result
-    list regardless of completion order, which is what makes pooled
-    batch reports byte-identical to sequential ones. *)
+    queue.  Every job answers through a {!promise}: its value, or the
+    exception it raised (fault isolation — a raising job neither kills
+    its worker nor strands its awaiter).  [map] preserves submission
+    order in its result list regardless of completion order, which is
+    what makes pooled batch reports byte-identical to sequential ones. *)
 
 type t
 
-(** [create ?inline_single n] spawns [n] worker domains ([n >= 1]).
-    [n = 1] with [inline_single] (the default) is special-cased: no
-    domain is spawned and jobs run inline at [wait] time in submission
-    order, so a single-worker pool is behaviourally identical to a
-    plain sequential loop.  Services that block on individual job
-    results (and therefore never reach [wait] while a job is queued)
-    must pass [~inline_single:false] so even a one-worker pool runs its
-    jobs on a real worker domain. *)
-val create : ?inline_single:bool -> int -> t
-
-val workers : t -> int
-
-(** Enqueue a job.  @raise Invalid_argument after [shutdown]. *)
-val submit : t -> (unit -> unit) -> unit
-
-(** [try_submit t ~max_pending job] — enqueue [job] unless [t] already
-    has [max_pending] admitted-but-unfinished jobs (queued or running),
-    in which case return [false] and enqueue nothing.  Check and
-    enqueue are atomic, so concurrent submitters cannot overshoot the
-    bound: this is the admission-control primitive of the serve
-    daemon's backpressure.  @raise Invalid_argument after [shutdown]. *)
-val try_submit : t -> max_pending:int -> (unit -> unit) -> bool
-
-(** Admitted-but-unfinished jobs (queue depth plus running jobs). *)
-val pending : t -> int
-
-(** Surfacing of job-body exceptions that escaped a raw {!submit} thunk
-    ([map] never contributes: it wraps its jobs in [Result]).  A
-    non-fatal exception is counted and the worker keeps serving; a
-    fatal one ([Out_of_memory], [Stack_overflow]) additionally kills
-    its worker (after spawning a replacement), because the worker's
-    state can no longer be trusted.  A service should alarm when
-    [unexpected_exceptions] grows. *)
-type worker_stats = {
-  unexpected_exceptions : int;  (** total escaped job exceptions *)
-  last_unexpected : string option;  (** printed form of the latest one *)
-  dead_workers : int;  (** workers killed by fatal exceptions *)
-}
-
-val worker_stats : t -> worker_stats
-
-(** Block until every submitted job has finished. *)
-val wait : t -> unit
-
-(** Drain the queue, then join and release the worker domains.  The pool
-    must not be used afterwards. *)
-val shutdown : t -> unit
+(** [create n] spawns [n] worker domains ([n >= 1]). *)
+val create : int -> t
 
 (** Per-job pool telemetry. *)
 type timing = {
@@ -64,23 +19,49 @@ type timing = {
   run_s : float;  (** job body wall time *)
 }
 
-(** [map ~jobs f xs] runs [f] over [xs] on a fresh [jobs]-worker pool
-    and returns the results in submission (list) order.  A raising call
-    yields [Error exn] in its slot; the other jobs still complete.
-    [jobs] is clamped to [1 .. length xs]. *)
+(** A submitted job's eventual answer. *)
+type 'a promise
+
+(** [try_submit t ~max_pending f] — enqueue [f] unless [t] already has
+    [max_pending] admitted-but-unfinished jobs (queued or running), in
+    which case return [None] and enqueue nothing.  Check and enqueue
+    are atomic, so concurrent submitters cannot overshoot the bound:
+    this is the admission-control primitive of the serve daemon's
+    backpressure.  @raise Invalid_argument after [shutdown]. *)
+val try_submit : t -> max_pending:int -> (unit -> 'a) -> 'a promise option
+
+(** Block until the job has finished; [Error e] when it raised [e].  The
+    job no longer counts in {!pending} once its promise is filled. *)
+val await : 'a promise -> ('a, exn) result * timing
+
+(** Admitted-but-unfinished jobs (queue depth plus running jobs). *)
+val pending : t -> int
+
+(** Job bodies that raised.  A non-fatal exception is counted and the
+    worker keeps serving; a fatal one ([Out_of_memory],
+    [Stack_overflow]) additionally kills its worker (after its promise
+    is filled and a replacement is spawned), because the worker's state
+    can no longer be trusted.  A service should alarm when
+    [unexpected_exceptions] grows. *)
+type worker_stats = {
+  unexpected_exceptions : int;  (** total raising jobs *)
+  last_unexpected : string option;  (** printed form of the latest one *)
+  dead_workers : int;  (** workers killed by fatal exceptions *)
+}
+
+val worker_stats : t -> worker_stats
+
+(** Let every admitted job finish, then join and release the worker
+    domains.  The pool must not be used afterwards. *)
+val shutdown : t -> unit
+
+(** [map ~jobs f xs] runs [f] over [xs] and returns the results in list
+    order.  A raising call yields [Error exn] in its slot; the other
+    jobs still complete.  [jobs] is clamped to the length of [xs]; with
+    at most one job [f] runs on the calling domain in list order and no
+    pool is created, otherwise on a fresh [jobs]-worker pool. *)
 val map : jobs:int -> ('a -> 'b) -> 'a list -> ('b, exn) result list
 
 (** {!map} plus per-job queue-wait / run telemetry. *)
 val map_timed :
   jobs:int -> ('a -> 'b) -> 'a list -> (('b, exn) result * timing) list
-
-(** [parallel_for ~jobs ~chunks f] runs [f 0 .. f (chunks - 1)] over the
-    process-wide scan team ([Ph_exec.Team]) with [jobs]-way parallelism,
-    falling back to an inline sequential loop when [jobs <= 1] or the
-    team is already held.  Chunk bodies must follow the Team determinism
-    contract (write only into per-chunk slots, reduce afterwards in
-    ascending chunk order); under it the result is bit-identical to the
-    sequential loop.  Unlike {!map}, no pool is created: the team's
-    parked domains make this cheap enough for many small loops inside
-    one task. *)
-val parallel_for : jobs:int -> chunks:int -> (int -> unit) -> unit

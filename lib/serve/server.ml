@@ -5,13 +5,13 @@
    - one READER THREAD per connection parses NDJSON requests and writes
      responses (a connection's requests are served strictly in order,
      so responses need no reordering machinery);
-   - [jobs] WORKER DOMAINS ([Ph_pool.Pool], never inline) execute the
-     compile jobs — reader threads block on a result cell, so OS
-     threads do the I/O waiting and domains do the parallel work.
+   - [jobs] WORKER DOMAINS ([Ph_pool.Pool]) execute the compile jobs —
+     reader threads block on the job's promise, so OS threads do the
+     I/O waiting and domains do the parallel work.
 
    Lock order: the server state mutex may be taken around
    [Pool.try_submit] (which takes the pool mutex), never the other way
-   around.  Result cells have their own mutex and are leaves. *)
+   around; [Pool.await] runs outside the server mutex. *)
 
 module Json = Ph_json
 module Pool = Ph_pool.Pool
@@ -93,31 +93,6 @@ let locked t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
 
 let address t = t.bound
-
-(* ---------- result cells (reader thread ⇄ worker domain) ---------- *)
-
-type 'a cell = {
-  cell_m : Mutex.t;
-  cell_c : Condition.t;
-  mutable cell_v : 'a option;
-}
-
-let cell () = { cell_m = Mutex.create (); cell_c = Condition.create (); cell_v = None }
-
-let cell_fill c v =
-  Mutex.lock c.cell_m;
-  c.cell_v <- Some v;
-  Condition.broadcast c.cell_c;
-  Mutex.unlock c.cell_m
-
-let cell_take c =
-  Mutex.lock c.cell_m;
-  while c.cell_v = None do
-    Condition.wait c.cell_c c.cell_m
-  done;
-  let v = Option.get c.cell_v in
-  Mutex.unlock c.cell_m;
-  v
 
 (* ---------- socket helpers ---------- *)
 
@@ -213,7 +188,6 @@ let respond_compile t ~id (req : Protocol.compile_request) =
             t.counters.c_cache_hits <- t.counters.c_cache_hits + 1);
         record_response ~id ~origin:"cache" record
       | None -> (
-        let result = cell () in
         let job () =
           let r =
             Batch.compile_checked ~verify:req.Protocol.verify ~config:cconfig
@@ -224,20 +198,19 @@ let respond_compile t ~id (req : Protocol.compile_request) =
           | Ok record, Some (c, k) when req.Protocol.verify ->
             Cache.store c k (Batch.payload_of_record record)
           | _ -> ());
-          cell_fill result r
+          r
         in
         let admission =
           locked t (fun () ->
               if t.draining then `Draining
-              else if Pool.try_submit t.pool ~max_pending:t.cfg.max_queue job
-              then begin
-                t.active <- t.active + 1;
-                `Admitted
-              end
-              else begin
-                t.counters.c_overloaded <- t.counters.c_overloaded + 1;
-                `Overloaded
-              end)
+              else
+                match Pool.try_submit t.pool ~max_pending:t.cfg.max_queue job with
+                | Some promise ->
+                  t.active <- t.active + 1;
+                  `Admitted promise
+                | None ->
+                  t.counters.c_overloaded <- t.counters.c_overloaded + 1;
+                  `Overloaded)
         in
         match admission with
         | `Draining -> Protocol.error ~id ~code:"draining" "daemon is draining"
@@ -249,8 +222,14 @@ let respond_compile t ~id (req : Protocol.compile_request) =
                 "max_queue", Json.Int t.cfg.max_queue;
               ]
             "admission queue full, retry later"
-        | `Admitted -> (
-          let r = cell_take result in
+        | `Admitted promise -> (
+          (* a job that raised (outside [compile_checked]'s own capture)
+             is a compile failure, as in [Batch.run] *)
+          let r =
+            match fst (Pool.await promise) with
+            | Ok r -> r
+            | Error e -> Error ("compile", Printexc.to_string e)
+          in
           locked t (fun () ->
               t.active <- t.active - 1;
               Condition.broadcast t.cond;
@@ -497,7 +476,7 @@ let start cfg =
       cfg;
       listen_fd;
       bound;
-      pool = Pool.create ~inline_single:false cfg.jobs;
+      pool = Pool.create cfg.jobs;
       stop = Atomic.make false;
       m = Mutex.create ();
       cond = Condition.create ();

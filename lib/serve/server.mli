@@ -26,7 +26,7 @@
 
 type config = {
   address : Protocol.address;
-  jobs : int;  (** worker domains (≥ 1, never inline) *)
+  jobs : int;  (** worker domains (≥ 1) *)
   max_queue : int;
       (** admission bound: compile jobs admitted-but-unfinished (queued
           plus running).  At the bound, compile requests receive an

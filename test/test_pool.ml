@@ -1,8 +1,9 @@
 (* Tests of the lib/pool batch-compilation service: the domain worker
-   pool (submission-order results, per-job exception capture), the
-   content-addressed compile cache (two tiers, eviction, fingerprint
-   invalidation, torn/corrupt disk entries) and the batch coordinator
-   (determinism across --jobs, fault isolation, warm-cache reruns). *)
+   pool (submission-order results, every job answering through a
+   promise), the content-addressed compile cache (two tiers, eviction,
+   fingerprint invalidation, torn/corrupt disk entries) and the batch
+   coordinator (determinism across --jobs, fault isolation, warm-cache
+   reruns, the verified-only store policy). *)
 
 open Paulihedral
 open Ph_pool
@@ -56,39 +57,81 @@ let test_pool_map_timed () =
       check "run time nonnegative" true (t.Pool.run_s >= 0.))
     results
 
+let test_pool_map_single_job_on_caller () =
+  let self = (Domain.self () :> int) in
+  let order = ref [] in
+  let results =
+    Pool.map ~jobs:1
+      (fun i ->
+        order := i :: !order;
+        (Domain.self () :> int))
+      [ 0; 1; 2; 3 ]
+  in
+  check "jobs:1 runs on the calling domain" true
+    (List.for_all (fun r -> r = Ok self) results);
+  Alcotest.(check (list int)) "in list order" [ 0; 1; 2; 3 ] (List.rev !order);
+  (* [jobs] is clamped to the list length: one item never spawns *)
+  check "one item with jobs:4 runs on the calling domain" true
+    (Pool.map ~jobs:4 (fun () -> (Domain.self () :> int)) [ () ] = [ Ok self ])
+
 (* --- Pool: admission control & worker health --- *)
 
+let submit pool f = Option.get (Pool.try_submit pool ~max_pending:max_int f)
+let answer p = fst (Pool.await p)
+
 let test_pool_try_submit_bound () =
-  let pool = Pool.create ~inline_single:false 1 in
+  let pool = Pool.create 1 in
   let gate = Mutex.create () in
   Mutex.lock gate;
   let started = Atomic.make false in
-  check "first admitted" true
-    (Pool.try_submit pool ~max_pending:2 (fun () ->
-         Atomic.set started true;
-         Mutex.lock gate;
-         Mutex.unlock gate));
+  let first =
+    Pool.try_submit pool ~max_pending:2 (fun () ->
+        Atomic.set started true;
+        Mutex.lock gate;
+        Mutex.unlock gate)
+  in
+  check "first admitted" true (Option.is_some first);
   (* once the job is running it still counts against the bound *)
   while not (Atomic.get started) do
     Domain.cpu_relax ()
   done;
-  check "second admitted" true
-    (Pool.try_submit pool ~max_pending:2 (fun () -> ()));
+  let second = Pool.try_submit pool ~max_pending:2 (fun () -> ()) in
+  check "second admitted" true (Option.is_some second);
   check_int "pending counts queued plus running" 2 (Pool.pending pool);
-  check "rejected at the bound" false
-    (Pool.try_submit pool ~max_pending:2 (fun () -> ()));
+  check "rejected at the bound" true
+    (Option.is_none (Pool.try_submit pool ~max_pending:2 (fun () -> ())));
   Mutex.unlock gate;
-  Pool.wait pool;
+  List.iter (fun p -> ignore (Pool.await (Option.get p))) [ first; second ];
+  (* a filled promise means its job no longer counts as pending *)
   check_int "drained" 0 (Pool.pending pool);
-  check "admitted again after drain" true
-    (Pool.try_submit pool ~max_pending:2 (fun () -> ()));
-  Pool.wait pool;
+  let third = Pool.try_submit pool ~max_pending:2 (fun () -> ()) in
+  check "admitted again after drain" true (Option.is_some third);
+  ignore (Pool.await (Option.get third));
+  Pool.shutdown pool
+
+(* Every awaiter gets its own job's answer, and a raising job leaves
+   nothing pending — what lets serve's drain finish. *)
+let test_pool_raising_job_answers_error () =
+  let pool = Pool.create 2 in
+  let promises =
+    List.init 8 (fun i ->
+        submit pool (fun () -> if i mod 2 = 0 then raise (Boom i) else i))
+  in
+  List.iteri
+    (fun i p ->
+      match answer p with
+      | Ok v -> check_int "odd jobs answer their value" i v
+      | Error (Boom k) -> check_int "even jobs answer their own exception" i k
+      | Error _ -> Alcotest.fail "wrong exception")
+    promises;
+  check_int "nothing left pending" 0 (Pool.pending pool);
   Pool.shutdown pool
 
 let test_pool_unexpected_exception_counter () =
-  let pool = Pool.create ~inline_single:false 2 in
-  Pool.submit pool (fun () -> failwith "boom");
-  Pool.wait pool;
+  let pool = Pool.create 2 in
+  (match answer (submit pool (fun () -> failwith "boom")) with
+  | Error (Failure m) -> check_str "awaiter gets the exception" "boom" m
+  | _ -> Alcotest.fail "expected Error (Failure \"boom\")");
   let s = Pool.worker_stats pool in
   check_int "escaped exception counted" 1 s.Pool.unexpected_exceptions;
   (* Printexc.to_string (Failure "boom") mentions the payload *)
@@ -102,20 +145,21 @@ let test_pool_unexpected_exception_counter () =
     | Some m -> contains "boom" m
     | None -> false);
   check_int "no worker died" 0 s.Pool.dead_workers;
-  let ok = Atomic.make false in
-  Pool.submit pool (fun () -> Atomic.set ok true);
-  Pool.wait pool;
-  check "worker survived and keeps serving" true (Atomic.get ok);
+  check "worker survived and keeps serving" true
+    (answer (submit pool (fun () -> true)) = Ok true);
   Pool.shutdown pool
 
 let test_pool_fatal_exception_replaces_worker () =
-  let pool = Pool.create ~inline_single:false 1 in
-  Pool.submit pool (fun () -> raise Stack_overflow);
-  Pool.wait pool;
-  let ok = Atomic.make false in
-  Pool.submit pool (fun () -> Atomic.set ok true);
-  Pool.wait pool;
-  check "replacement worker serves after a fatal job" true (Atomic.get ok);
+  let pool = Pool.create 1 in
+  (match answer (submit pool (fun () -> raise Stack_overflow)) with
+  | Error Stack_overflow -> ()
+  | _ -> Alcotest.fail "expected Error Stack_overflow");
+  (* the promise is filled in the step that records the death, before
+     the dying worker spawns its replacement *)
+  check_int "death recorded by the time the job answers" 1
+    (Pool.worker_stats pool).Pool.dead_workers;
+  check "replacement worker serves after a fatal job" true
+    (answer (submit pool (fun () -> true)) = Ok true);
   let s = Pool.worker_stats pool in
   check_int "fatal exception counted" 1 s.Pool.unexpected_exceptions;
   check_int "worker death recorded" 1 s.Pool.dead_workers;
@@ -326,6 +370,27 @@ let test_batch_cache_warm_rerun () =
   Alcotest.(check (list string))
     "warm records identical to cold" (records_of cold) (records_of warm)
 
+(* Only verified compiles are published: a --no-verify run reads the
+   cache but stores nothing, so a verified rerun must compile afresh. *)
+let test_batch_no_verify_stores_nothing () =
+  let cache = Cache.create () in
+  let js = jobs_of (corpus ()) in
+  let unchecked =
+    Batch.run ~cache ~jobs:2 ~verify:false ~config:ft_config
+      ~config_name:"ft/do" js
+  in
+  check_int "unchecked run compiled everything" (List.length js)
+    (Batch.ok_count unchecked);
+  check_int "unchecked run stored nothing" 0 (Cache.counters cache).Cache.stores;
+  let checked =
+    Batch.run ~cache ~jobs:2 ~config:ft_config ~config_name:"ft/do" js
+  in
+  check_int "verified rerun had no hits" 0 checked.Batch.stats.Report.cache_hits;
+  check "every verified job compiled" true
+    (List.for_all
+       (fun (o : Batch.outcome) -> o.Batch.origin = Batch.Compiled)
+       checked.Batch.outcomes)
+
 let test_batch_stale_fingerprint_misses () =
   let cache = Cache.create () in
   let js = jobs_of (corpus ()) in
@@ -399,8 +464,12 @@ let () =
             test_pool_exception_isolation;
           Alcotest.test_case "map_timed reports timings" `Quick
             test_pool_map_timed;
+          Alcotest.test_case "map ~jobs:1 runs on the calling domain" `Quick
+            test_pool_map_single_job_on_caller;
           Alcotest.test_case "try_submit enforces the admission bound" `Quick
             test_pool_try_submit_bound;
+          Alcotest.test_case "raising job answers Error to its awaiter" `Quick
+            test_pool_raising_job_answers_error;
           Alcotest.test_case "escaped exception counted, worker survives"
             `Quick test_pool_unexpected_exception_counter;
           Alcotest.test_case "fatal exception kills and replaces the worker"
@@ -427,6 +496,8 @@ let () =
             test_batch_fault_isolation;
           Alcotest.test_case "warm rerun: 100% hits, identical records" `Quick
             test_batch_cache_warm_rerun;
+          Alcotest.test_case "--no-verify run stores nothing" `Quick
+            test_batch_no_verify_stores_nothing;
           Alcotest.test_case "stale config fingerprint misses" `Quick
             test_batch_stale_fingerprint_misses;
           Alcotest.test_case "cache hits relabeled to the requester's config"
