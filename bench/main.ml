@@ -7,13 +7,18 @@
      dune exec bench/main.exe timing          # bechamel compile-time study
      PH_BENCH_FULL=1 dune exec bench/main.exe # paper-scale workloads
 
+   Tables 2-4 and the scale study are data ([tables]); `history record`
+   compiles the PH columns of the same specs, so a row label such as
+   `table2-ft/PH` has one definition.
+
    Every compiled circuit is certified against its rotation trace by the
    Pauli-frame verifier; rows are flagged with `!` if verification ever
    fails (it should not).
 
    Machine-readable perf trajectory: append `--json FILE` to any table
    run to also write every benchmark × config record (metrics plus the
-   per-stage compile trace) as a JSON array, and diff two such files with
+   per-stage compile trace) as a JSON array, and diff two such files
+   (metric deltas, then one wall-time ratio per compile stage) with
 
      dune exec bench/main.exe -- table2-ft --json new.json
      dune exec bench/main.exe -- compare old.json new.json *)
@@ -25,33 +30,49 @@ open Ph_benchmarks
 
 let sc_device = Devices.manhattan
 
-let header title cols =
-  Printf.printf "\n=== %s ===\n%!" title;
-  Printf.printf "%-14s" "benchmark";
-  List.iter (fun c -> Printf.printf " %12s" c) cols;
-  print_newline ()
-
 let row name cols =
   Printf.printf "%-14s" name;
   List.iter (fun c -> Printf.printf " %12s" c) cols;
   print_newline ()
 
-let wanted filters (b : Suite.t) =
-  filters = [] || List.mem b.Suite.name filters
+let header title cols =
+  Printf.printf "\n=== %s ===\n%!" title;
+  row "benchmark" cols
+
+(* Print an error line on stderr and exit 1. *)
+let die fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 1) fmt
+
+(* The benchmarks of [benches] named by [filters] (all of them when there
+   is no filter).  A name that matches none of them is a usage error:
+   an empty table would look like a result. *)
+let select experiment filters (benches : Suite.t list) =
+  let names = List.map (fun (b : Suite.t) -> b.Suite.name) benches in
+  match List.filter (fun f -> not (List.mem f names)) filters with
+  | [] when filters = [] -> benches
+  | [] -> List.filter (fun (b : Suite.t) -> List.mem b.Suite.name filters) benches
+  | unknown ->
+    die "%s: no benchmark named %s; valid names: %s" experiment
+      (String.concat ", " unknown) (String.concat " " names)
 
 let pct a b = Printf.sprintf "%+.1f%%" (Report.delta a b)
 
+(* The gate metrics of every table, in column order. *)
+let gate_metrics =
+  [
+    "cnot", (fun (m : Report.metrics) -> m.Report.cnot);
+    "single", (fun m -> m.Report.single);
+    "total", (fun m -> m.Report.total);
+    "depth", (fun m -> m.Report.depth);
+  ]
+
 (* ---------- machine-readable perf records (--json FILE) ---------- *)
 
-let json_enabled = ref false
-let json_records : Json.t list ref = ref []
+let json_records : Report.record list ref = ref []
 
 let write_json path =
-  let oc = open_out path in
-  output_string oc
-    (Json.to_string ~indent:true (Json.List (List.rev !json_records)));
-  output_char oc '\n';
-  close_out oc;
+  let json = Json.List (List.rev_map Report.record_to_json !json_records) in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Json.to_string ~indent:true json ^ "\n"));
   Printf.printf "\nwrote %d records to %s\n" (List.length !json_records) path
 
 (* ---------- --lint: per-stage linting of the PH pipelines ---------- *)
@@ -60,8 +81,7 @@ let write_json path =
    time land in the compile trace, so `--json` records carry
    lint_errors / lint_warnings and a lint span, and `compare` can report
    the lint-time overhead between two reports. *)
-let lint_enabled = ref false
-let lint_level () = if !lint_enabled then Lint.Diag.Warn else Lint.Diag.Off
+let bench_lint = ref Lint.Diag.Off
 
 (* --sched-jobs: intra-compile scan parallelism.  Output-invariant
    (records are byte-identical at any value), so it participates in no
@@ -71,7 +91,7 @@ let bench_sched_jobs = ref 1
 (* Every PH compile of the harness runs [base] under the --lint level and
    the --sched-jobs setting. *)
 let ph_config (base : Config.t) =
-  { base with Config.lint = lint_level (); sched_jobs = !bench_sched_jobs }
+  { base with Config.lint = !bench_lint; sched_jobs = !bench_sched_jobs }
 
 let ph base prog = Pipelines.ph (ph_config base) prog
 
@@ -85,37 +105,32 @@ let bench_cache : Ph_pool.Cache.t option ref = ref None
    record came out of the cache. *)
 type cell = { c_record : Report.record; c_verified : bool }
 
-let cell ~bench ~config prog (r : Pipelines.run) =
-  {
-    c_record =
-      {
-        Report.bench;
-        config;
-        qubits = Program.n_qubits prog;
-        paulis = Program.term_count prog;
-        metrics = r.Pipelines.metrics;
-        trace = r.Pipelines.trace;
-      };
-    c_verified = Pipelines.verified r;
-  }
-
 (* Baseline cache fingerprints: the baselines are not config-driven and
-   get a synthetic tag (with the device identity folded in where routing
-   matters).  It embeds [Config.version_tag], so a version bump
-   invalidates every entry. *)
-let fp_baseline ?device tag =
+   get a synthetic tag (with the SC device identity folded in, since
+   routing depends on it).  It embeds [Config.version_tag], so a version
+   bump invalidates every entry. *)
+let fp_baseline backend tag =
   Printf.sprintf "v=%s;baseline=%s%s" Config.version_tag tag
-    (match device with
-    | None -> ""
-    | Some d -> ";" ^ Config.fingerprint (Config.sc d))
+    (match backend with
+    | Suite.FT -> ""
+    | Suite.SC -> ";" ^ Config.fingerprint (Config.sc sc_device))
 
-(* Run one cell through the record cache when --cache is given.  Only
-   verified runs are stored (same payload shape as the phc batch
+(* Run [f] for one cell, through the record [cache] when there is one.
+   Only verified runs are stored (same payload shape as the phc batch
    cache), so a hit is trusted without recompiling; [Batch.lookup]
    relabels it to this row's identity. *)
-let cached ~bench ~config ~fp prog (f : unit -> Pipelines.run) =
-  match !bench_cache with
-  | None -> cell ~bench ~config prog (f ())
+let cached ~cache ~bench ~config ~fp prog (f : unit -> Pipelines.run) =
+  let run () =
+    let r = f () in
+    let qubits = Program.n_qubits prog and paulis = Program.term_count prog in
+    let metrics = r.Pipelines.metrics and trace = r.Pipelines.trace in
+    {
+      c_record = { Report.bench; config; qubits; paulis; metrics; trace };
+      c_verified = Pipelines.verified r;
+    }
+  in
+  match cache with
+  | None -> run ()
   | Some cache -> (
     let key =
       Ph_pool.Cache.key ~config_fp:fp ~text:(Ph_pool.Batch.canonical_text prog)
@@ -123,39 +138,16 @@ let cached ~bench ~config ~fp prog (f : unit -> Pipelines.run) =
     match Ph_pool.Batch.lookup cache key ~bench ~config_name:config with
     | Some r -> { c_record = r; c_verified = true }
     | None ->
-      let c = cell ~bench ~config prog (f ()) in
+      let c = run () in
       if c.c_verified then
         Ph_pool.Cache.store cache key
           (Ph_pool.Batch.payload_of_record c.c_record);
       c)
 
-(* The PH config of a suite benchmark's backend (SC: [sc_device]). *)
-let suite_config backend ~schedule =
-  match backend with
-  | Suite.FT -> Config.ft ~schedule ()
-  | Suite.SC -> Config.sc ~schedule sc_device
-
-(* A PH cell: its cache fingerprint is that of the config it compiles. *)
-let ph_cell ~bench ~config base prog =
-  let c = ph_config base in
-  cached ~bench ~config ~fp:(Config.fingerprint c) prog (fun () ->
-      Pipelines.ph c prog)
-
-let emit_cell c =
-  if !json_enabled then
-    json_records := Report.record_to_json c.c_record :: !json_records
-
-let cell_cols ?(time = true) c =
+let cell_cols c =
   let m = c.c_record.Report.metrics in
-  let base =
-    [
-      string_of_int m.Report.cnot;
-      string_of_int m.Report.single;
-      string_of_int m.Report.total;
-      string_of_int m.Report.depth;
-    ]
-  in
-  if time then base @ [ Printf.sprintf "%.2f" m.Report.seconds ] else base
+  List.map (fun (_, f) -> string_of_int (f m)) gate_metrics
+  @ [ Printf.sprintf "%.2f" m.Report.seconds ]
 
 let cell_checked c name =
   if c.c_verified then name else name ^ " !UNVERIFIED"
@@ -166,13 +158,13 @@ let cell_checked c name =
    table every cell has a distinct cache key, so cold-cache counter
    totals are deterministic too.  A worker exception re-raises here:
    bench inputs are trusted, fault isolation is `phc batch`'s job.
-   Returns the merged cells (suite order) so callers can print
+   Returns each item's cells (suite order) so callers can print
    table-level aggregates such as the gap geomeans. *)
 let pooled items f =
-  List.concat_map
+  List.map
     (function
       | Stdlib.Ok (cells, rows) ->
-        List.iter emit_cell cells;
+        List.iter (fun c -> json_records := c.c_record :: !json_records) cells;
         List.iter (fun (name, cols) -> row name cols) rows;
         cells
       | Stdlib.Error e -> raise e)
@@ -180,36 +172,51 @@ let pooled items f =
 
 (* ---------- static-analysis attachment (post-hoc) ---------- *)
 
-(* Attach the analyzer's bounds/gap summary to a record after the fact:
+(* Attach the analyzer's bounds/gap summary to a cell after the fact:
    a pure function of (program, achieved metrics), so it applies equally
    to fresh compiles and cache hits, runs outside any perf window (the
    compile's counter deltas stay untouched), and is identical whatever
    --jobs was. *)
-let analyzed_record prog (r : Report.record) =
+let analyzed prog c =
+  let r = c.c_record in
   let m = r.Report.metrics in
   let s =
     Analysis.Gap.summarize ~cnot:m.Report.cnot ~single:m.Report.single
       ~total:m.Report.total ~depth:m.Report.depth
       (Analysis.Bounds.of_program prog)
   in
-  { r with Report.trace = { r.Report.trace with Report.analysis = Some s } }
+  let trace = { r.Report.trace with Report.analysis = Some s } in
+  { c with c_record = { r with Report.trace } }
 
-let analyzed prog c = { c with c_record = analyzed_record prog c.c_record }
+(* A record's achieved/floor total gap; 0 when it carries no analysis
+   or the floor is zero. *)
+let gap_total (r : Report.record) =
+  match r.Report.trace.Report.analysis with
+  | Some { Analysis.Gap.gap_total = Some g; _ } -> g
+  | Some _ | None -> 0.
 
-let gap_col c =
-  match c.c_record.Report.trace.Report.analysis with
-  | Some { Analysis.Gap.gap_total = Some g; _ } -> Printf.sprintf "%.2fx" g
-  | Some _ | None -> "n/a"
+let show_gap g = if g > 0. then Printf.sprintf "%.2fx" g else "n/a"
+let gap_col c = show_gap (gap_total c.c_record)
+
+(* A table footer of per-metric geomeans: "name G/n" for each metric,
+   "name n/a" when no cell had a defined ratio. *)
+let geomeans_line title prec metrics =
+  Printf.printf "%s: %s\n" title
+    (String.concat "  "
+       (List.map
+          (fun (name, rs) ->
+            if rs = [] then name ^ " n/a"
+            else
+              Printf.sprintf "%s %.*fx/%d" name prec (Report.geomean rs)
+                (List.length rs))
+          metrics))
 
 (* Per-metric geomeans of the achieved/floor ratios over every analyzed
    cell of a table (cells without a defined ratio are skipped, same rule
    as `compare`). *)
 let gap_geomeans cells =
-  let collect f =
-    List.filter_map
-      (fun c -> Option.bind c.c_record.Report.trace.Report.analysis f)
-      cells
-  in
+  let analyses = List.filter_map (fun c -> c.c_record.Report.trace.Report.analysis) cells in
+  let collect f = List.filter_map f analyses in
   let metrics =
     [
       "depth", collect (fun s -> s.Analysis.Gap.gap_depth);
@@ -219,35 +226,13 @@ let gap_geomeans cells =
     ]
   in
   if List.exists (fun (_, rs) -> rs <> []) metrics then
-    Printf.printf "gap geomeans (achieved/floor): %s\n"
-      (String.concat "  "
-         (List.map
-            (fun (name, rs) ->
-              if rs = [] then Printf.sprintf "%s n/a" name
-              else
-                Printf.sprintf "%s %.2fx/%d" name (Report.geomean rs)
-                  (List.length rs))
-            metrics))
+    geomeans_line "gap geomeans (achieved/floor)" 2 metrics
 
-(* Geomean of the phoenix/GCO metric ratios over a table's merged cells,
-   paired by benchmark — the headline "does the IR optimizer beat plain
-   GCO scheduling" number (rows where either side is 0 are skipped, same
-   rule as `compare`). *)
-let phx_geomeans ~base_cfg ~phx_cfg ~base_name cells =
-  let pairs =
-    List.filter_map
-      (fun c ->
-        if c.c_record.Report.config <> phx_cfg then None
-        else
-          Option.map
-            (fun g -> g, c)
-            (List.find_opt
-               (fun g ->
-                 g.c_record.Report.config = base_cfg
-                 && g.c_record.Report.bench = c.c_record.Report.bench)
-               cells))
-      cells
-  in
+(* Geomeans of the PHX/base metric ratios over a table's (base, PHX)
+   cell pairs, one per benchmark — the headline "does the IR optimizer
+   beat the base scheduling" number (pairs where either side is 0 are
+   skipped, same rule as `compare`). *)
+let phx_geomeans label pairs =
   let ratios f =
     List.filter_map
       (fun (g, p) ->
@@ -256,24 +241,17 @@ let phx_geomeans ~base_cfg ~phx_cfg ~base_name cells =
         if a > 0 && b > 0 then Some (float_of_int b /. float_of_int a) else None)
       pairs
   in
-  let show name = function
-    | [] -> Printf.sprintf "%s n/a" name
-    | rs -> Printf.sprintf "%s %.3fx/%d" name (Report.geomean rs) (List.length rs)
-  in
   if pairs <> [] then
-    Printf.printf "PHX/%s geomeans: %s  %s  %s  %s\n" base_name
-      (show "cnot" (ratios (fun (m : Report.metrics) -> m.Report.cnot)))
-      (show "single" (ratios (fun (m : Report.metrics) -> m.Report.single)))
-      (show "total" (ratios (fun (m : Report.metrics) -> m.Report.total)))
-      (show "depth" (ratios (fun (m : Report.metrics) -> m.Report.depth)))
+    geomeans_line ("PHX/" ^ label ^ " geomeans") 3
+      (List.map (fun (name, f) -> name, ratios f) gate_metrics)
 
 (* ---------- Table 1: benchmark information ---------- *)
 
 let table1 filters =
+  let benches = select "table1" filters (Suite.all ()) in
   header "Table 1: benchmark information (naive lowering, no optimization)"
     [ "qubits"; "pauli#"; "cnot#"; "single#" ];
-  ignore @@ pooled
-    (List.filter (wanted filters) (Suite.all ()))
+  ignore @@ pooled benches
     (fun (b : Suite.t) ->
       let prog = b.Suite.generate () in
       let naive = Ph_synthesis.Naive.synthesize prog in
@@ -289,207 +267,211 @@ let table1 filters =
             ] );
         ] ))
 
-(* ---------- Table 2: PH vs TK on both backends ---------- *)
+(* ---------- Tables 2-4 and the scale study: table specs ---------- *)
 
-let table2_sc filters =
-  header "Table 2 (SC backend, Manhattan-65): PH vs PHX vs TK, each + generic stage"
-    [ "config"; "cnot"; "single"; "total"; "depth"; "time(s)"; "gap" ];
-  let cells =
-    pooled
-      (List.filter (wanted filters) (Suite.sc ()))
-      (fun (b : Suite.t) ->
-        let prog = b.Suite.generate () in
-        let ph =
-          analyzed prog
-            (ph_cell ~bench:b.Suite.name ~config:"table2-sc/PH"
-               (Config.sc sc_device) prog)
-        in
-        let phx =
-          analyzed prog
-            (ph_cell ~bench:b.Suite.name ~config:"table2-sc/PHX"
-               (Config.sc ~schedule:Config.Phoenix_like sc_device)
-               prog)
-        in
-        let tk =
-          analyzed prog
-            (cached ~bench:b.Suite.name ~config:"table2-sc/TK"
-               ~fp:(fp_baseline ~device:sc_device "tk") prog (fun () ->
-                 Pipelines.tk_sc sc_device prog))
-        in
-        ( [ ph; phx; tk ],
-          [
-            b.Suite.name, (cell_checked ph "PH" :: cell_cols ph) @ [ gap_col ph ];
-            "", (cell_checked phx "PHX" :: cell_cols phx) @ [ gap_col phx ];
-            "", (cell_checked tk "TK" :: cell_cols tk) @ [ gap_col tk ];
-          ] ))
-  in
-  gap_geomeans cells;
-  phx_geomeans ~base_cfg:"table2-sc/PH" ~phx_cfg:"table2-sc/PHX" ~base_name:"PH"
-    cells
+(* Where a column's cells come from: a PH compile under a schedule (on
+   the benchmark's backend; SC compiles for [sc_device]), or a baseline
+   pipeline cached under [fp_baseline backend name]. *)
+type source =
+  | Ph of Config.schedule
+  | Baseline of string * (Suite.backend -> Program.t -> Pipelines.run)
 
-let table2_ft filters =
-  header "Table 2 (FT backend): PH vs PHX vs TK, each + generic stage"
-    [ "config"; "cnot"; "single"; "total"; "depth"; "time(s)"; "gap" ];
-  let cells =
-    pooled
-      (List.filter (wanted filters) (Suite.ft ()))
-      (fun (b : Suite.t) ->
-        let prog = b.Suite.generate () in
-        let ph =
-          analyzed prog
-            (ph_cell ~bench:b.Suite.name ~config:"table2-ft/PH"
-               (Config.ft ~schedule:Config.Depth_oriented ())
-               prog)
-        in
-        let phx =
-          analyzed prog
-            (ph_cell ~bench:b.Suite.name ~config:"table2-ft/PHX"
-               (Config.ft ~schedule:Config.Phoenix_like ())
-               prog)
-        in
-        let tk =
-          analyzed prog
-            (cached ~bench:b.Suite.name ~config:"table2-ft/TK"
-               ~fp:(fp_baseline "tk") prog (fun () -> Pipelines.tk_ft prog))
-        in
-        ( [ ph; phx; tk ],
-          [
-            b.Suite.name, (cell_checked ph "PH" :: cell_cols ph) @ [ gap_col ph ];
-            "", (cell_checked phx "PHX" :: cell_cols phx) @ [ gap_col phx ];
-            "", (cell_checked tk "TK" :: cell_cols tk) @ [ gap_col tk ];
-          ] ))
-  in
-  gap_geomeans cells;
-  phx_geomeans ~base_cfg:"table2-ft/PH" ~phx_cfg:"table2-ft/PHX" ~base_name:"PH"
-    cells
+type rows =
+  | Absolute of { sched : bool }
+      (** metrics and time(s), then sched(s) when [sched], then gap
+          when the cells are analyzed *)
+  | Deltas of string
+      (** % change of every other column against this base column *)
 
-(* ---------- Table 3: PH vs the QAOA compiler ---------- *)
+type spec = {
+  name : string;  (** the experiment, and every record's config prefix *)
+  title : string;
+  suite : unit -> Suite.t list;
+  columns : (string * source) list;
+      (** (tag, source); a cell's record config is [name/tag] *)
+  rows : rows;
+  analyzed : bool;
+  phx_base : (string * string) option;
+      (** (tag, label) of the base column of the PHX geomeans footer *)
+}
 
-let table3 filters =
-  header "Table 3 (Manhattan-65): PH vs algorithm-specific QAOA compiler"
-    [ "config"; "cnot"; "single"; "total"; "depth"; "time(s)" ];
-  ignore @@ pooled
-    (List.filter
-       (fun (b : Suite.t) ->
-         wanted filters b && b.Suite.category = "QAOA" && b.Suite.name.[0] = 'R')
-       (Suite.sc ()))
-    (fun (b : Suite.t) ->
-      let prog = b.Suite.generate () in
-      let ph =
-        ph_cell ~bench:b.Suite.name ~config:"table3/PH" (Config.sc sc_device)
-          prog
-      in
-      let phx =
-        ph_cell ~bench:b.Suite.name ~config:"table3/PHX"
-          (Config.sc ~schedule:Config.Phoenix_like sc_device)
-          prog
-      in
-      let qc =
-        cached ~bench:b.Suite.name ~config:"table3/QAOA_comp"
-          ~fp:(fp_baseline ~device:sc_device "qaoa") prog (fun () ->
-            Pipelines.qaoa_sc sc_device prog)
-      in
-      ( [ ph; phx; qc ],
+let ph_do = "PH", Ph Config.Depth_oriented
+let phx = "PHX", Ph Config.Phoenix_like
+
+let tk =
+  ( "TK",
+    Baseline
+      ( "tk",
+        fun backend prog ->
+          match backend with
+          | Suite.FT -> Pipelines.tk_ft prog
+          | Suite.SC -> Pipelines.tk_sc sc_device prog ) )
+
+(* Table 4's baseline: same scheduling, naive per-string synthesis, same
+   generic stage (peephole; + router on SC) — the paper's "naive
+   synthesis and Qiskit_L3". *)
+let naive =
+  ( "naive",
+    Baseline
+      ( "gco+naive",
+        fun backend prog ->
+          let scheduled = Ph_schedule.Gco.run prog in
+          match backend with
+          | Suite.FT -> Pipelines.naive_ft scheduled
+          | Suite.SC -> Pipelines.naive_sc sc_device scheduled ) )
+
+let table2 name title suite =
+  {
+    name;
+    title = title ^ ": PH vs PHX vs TK, each + generic stage";
+    suite;
+    columns = [ ph_do; phx; tk ];
+    rows = Absolute { sched = false };
+    analyzed = true;
+    phx_base = Some ("PH", "PH");
+  }
+
+let tables =
+  [
+    table2 "table2-sc" "Table 2 (SC backend, Manhattan-65)" (fun () -> Suite.sc ());
+    table2 "table2-ft" "Table 2 (FT backend)" (fun () -> Suite.ft ());
+    {
+      name = "table3";
+      title = "Table 3 (Manhattan-65): PH vs algorithm-specific QAOA compiler";
+      suite =
+        (fun () ->
+          List.filter
+            (fun (b : Suite.t) -> b.Suite.category = "QAOA" && b.Suite.name.[0] = 'R')
+            (Suite.sc ()));
+      (* SC-only suite: the QAOA compiler routes on [sc_device] *)
+      columns =
         [
-          b.Suite.name, cell_checked ph "PH" :: cell_cols ph;
-          "", cell_checked phx "PHX" :: cell_cols phx;
-          "", cell_checked qc "QAOA_comp" :: cell_cols qc;
-        ] ))
+          ph_do;
+          phx;
+          "QAOA_comp", Baseline ("qaoa", fun _ -> Pipelines.qaoa_sc sc_device);
+        ];
+      rows = Absolute { sched = false };
+      analyzed = false;
+      phx_base = None;
+    };
+    {
+      name = "table4-sched";
+      title = "Table 4 (left): DO and PHX vs GCO scheduling (deltas relative to GCO)";
+      suite = (fun () -> Suite.all ());
+      columns = [ "GCO", Ph Config.Gco; "DO", Ph Config.Depth_oriented; phx ];
+      rows = Deltas "GCO";
+      analyzed = false;
+      phx_base = Some ("GCO", "GCO");
+    };
+    {
+      name = "table4-bc";
+      title = "Table 4 (right): block-wise compilation vs naive synthesis (deltas)";
+      suite = (fun () -> Suite.all ());
+      columns = [ "PH", Ph Config.Gco; phx; naive ];
+      rows = Deltas "naive";
+      analyzed = false;
+      phx_base = None;
+    };
+    (* DO and PHX compiles of the 64-256 qubit scale suite (FT backend),
+       with the scheduling stage's wall time broken out — the table the
+       schedule_s speedup target is measured on. *)
+    {
+      name = "scale";
+      title = "Scale: DO vs PHX scheduling at 64-256 qubits (FT backend)";
+      suite = Suite.scale;
+      columns = [ ph_do; phx ];
+      rows = Absolute { sched = true };
+      analyzed = true;
+      phx_base = Some ("PH", "DO");
+    };
+  ]
 
-(* ---------- Table 4 left: DO vs GCO ---------- *)
+let table name = List.find (fun s -> s.name = name) tables
 
-let table4_sched filters =
-  header
-    "Table 4 (left): DO and PHX vs GCO scheduling (deltas relative to GCO)"
-    [ "config"; "cnot"; "single"; "total"; "depth" ];
-  let cells =
-    pooled
-      (List.filter (wanted filters) (Suite.all ()))
-      (fun (b : Suite.t) ->
-        let prog = b.Suite.generate () in
-        let compiled schedule config =
-          ph_cell ~bench:b.Suite.name ~config
-            (suite_config b.Suite.backend ~schedule)
-            prog
-        in
-        let gco = compiled Config.Gco "table4-sched/GCO" in
-        let dor = compiled Config.Depth_oriented "table4-sched/DO" in
-        let phx = compiled Config.Phoenix_like "table4-sched/PHX" in
-        let g = gco.c_record.Report.metrics in
-        let deltas (m : Report.metrics) =
-          [
-            pct g.Report.cnot m.Report.cnot;
-            pct g.Report.single m.Report.single;
-            pct g.Report.total m.Report.total;
-            pct g.Report.depth m.Report.depth;
-          ]
-        in
-        ( [ gco; dor; phx ],
-          (* DO differs from GCO only through layer choice, so it is N/A
-             on single-block programs; PHX rewrites inside the block and
-             stays meaningful *)
-          (if Program.block_count prog <= 1 then
-             [ b.Suite.name, [ "DO"; "N/A"; "N/A"; "N/A"; "N/A" ] ]
+(* The cell of [spec]'s column [(tag, source)] for benchmark [b],
+   through [cache] when there is one, analyzed when the spec asks. *)
+let table_cell ~cache spec (b : Suite.t) prog (tag, source) =
+  let bench = b.Suite.name and config = spec.name ^ "/" ^ tag in
+  let c =
+    match source with
+    | Ph schedule ->
+      let c =
+        ph_config
+          (match b.Suite.backend with
+          | Suite.FT -> Config.ft ~schedule ()
+          | Suite.SC -> Config.sc ~schedule sc_device)
+      in
+      cached ~cache ~bench ~config ~fp:(Config.fingerprint c) prog (fun () ->
+          Pipelines.ph c prog)
+    | Baseline (name, run) ->
+      cached ~cache ~bench ~config ~fp:(fp_baseline b.Suite.backend name) prog
+        (fun () -> run b.Suite.backend prog)
+  in
+  if spec.analyzed then analyzed prog c else c
+
+let table_header spec =
+  ("config" :: List.map fst gate_metrics)
+  @
+  match spec.rows with
+  | Deltas _ -> []
+  | Absolute { sched } ->
+    ("time(s)" :: (if sched then [ "sched(s)" ] else []))
+    @ if spec.analyzed then [ "gap" ] else []
+
+(* A block scheduler (not PHX, which rewrites inside blocks) can only
+   reorder blocks, so the delta between two of them reads N/A on a
+   single-block program. *)
+let block_scheduler = function
+  | Ph schedule -> schedule <> Config.Phoenix_like
+  | Baseline _ -> false
+
+(* The rows of one benchmark: its name on the first row only, and the
+   verification flags on the tag (absolute rows) or on the name (delta
+   rows, whose first row also answers for the base cell). *)
+let table_rows spec (b : Suite.t) prog cells =
+  let first i name = if i = 0 then name else "" in
+  match spec.rows with
+  | Absolute { sched } ->
+    List.mapi
+      (fun i ((tag, _), c) ->
+        let spans = c.c_record.Report.trace.Report.spans in
+        ( first i b.Suite.name,
+          (cell_checked c tag :: cell_cols c)
+          @ (if sched then
+               [ Printf.sprintf "%.3f" (Report.span_of spans "schedule").Report.wall_s ]
+             else [])
+          @ if spec.analyzed then [ gap_col c ] else [] ))
+      cells
+  | Deltas base ->
+    let (_, base_source), base_cell = List.find (fun ((tag, _), _) -> tag = base) cells in
+    let n = base_cell.c_record.Report.metrics in
+    List.filter (fun ((tag, _), _) -> tag <> base) cells
+    |> List.mapi (fun i ((tag, source), c) ->
+           if
+             block_scheduler source && block_scheduler base_source
+             && Program.block_count prog <= 1
+           then first i b.Suite.name, tag :: List.init 4 (fun _ -> "N/A")
            else
-             [
-               ( cell_checked gco (cell_checked dor b.Suite.name),
-                 "DO" :: deltas dor.c_record.Report.metrics );
-             ])
-          @ [ cell_checked phx "", "PHX" :: deltas phx.c_record.Report.metrics ]
-        ))
+             let m = c.c_record.Report.metrics in
+             ( cell_checked c (first i (cell_checked base_cell b.Suite.name)),
+               tag :: List.map (fun (_, f) -> pct (f n) (f m)) gate_metrics ))
+
+let run_table spec filters =
+  let benches = select spec.name filters (spec.suite ()) in
+  header spec.title (table_header spec);
+  let cells =
+    pooled benches (fun (b : Suite.t) ->
+        let prog = b.Suite.generate () in
+        let cell col = col, table_cell ~cache:!bench_cache spec b prog col in
+        let cells = List.map cell spec.columns in
+        List.map snd cells, table_rows spec b prog cells)
   in
-  phx_geomeans ~base_cfg:"table4-sched/GCO" ~phx_cfg:"table4-sched/PHX"
-    ~base_name:"GCO" cells
-
-(* ---------- Table 4 right: block-wise compilation improvement ---------- *)
-
-(* Baseline: same scheduling, naive per-string synthesis, same generic
-   stage (peephole; + router on SC) — the paper's "naive synthesis and
-   Qiskit_L3". *)
-let scheduled_naive (b : Suite.t) prog =
-  let scheduled = Ph_schedule.Gco.run prog in
-  match b.Suite.backend with
-  | Suite.FT -> Pipelines.naive_ft scheduled
-  | Suite.SC -> Pipelines.naive_sc sc_device scheduled
-
-let table4_bc filters =
-  header "Table 4 (right): block-wise compilation vs naive synthesis (deltas)"
-    [ "config"; "cnot"; "single"; "total"; "depth" ];
-  ignore @@ pooled
-    (List.filter (wanted filters) (Suite.all ()))
-    (fun (b : Suite.t) ->
-      let prog = b.Suite.generate () in
-      let compiled schedule config =
-        ph_cell ~bench:b.Suite.name ~config
-          (suite_config b.Suite.backend ~schedule)
-          prog
-      in
-      let ph = compiled Config.Gco "table4-bc/PH" in
-      let phx = compiled Config.Phoenix_like "table4-bc/PHX" in
-      let base =
-        cached ~bench:b.Suite.name ~config:"table4-bc/naive"
-          ~fp:
-            (match b.Suite.backend with
-            | Suite.FT -> fp_baseline "gco+naive"
-            | Suite.SC -> fp_baseline ~device:sc_device "gco+naive")
-          prog
-          (fun () -> scheduled_naive b prog)
-      in
-      let n = base.c_record.Report.metrics in
-      let deltas (m : Report.metrics) =
-        [
-          pct n.Report.cnot m.Report.cnot;
-          pct n.Report.single m.Report.single;
-          pct n.Report.total m.Report.total;
-          pct n.Report.depth m.Report.depth;
-        ]
-      in
-      ( [ ph; phx; base ],
-        [
-          ( cell_checked ph (cell_checked base b.Suite.name),
-            "PH" :: deltas ph.c_record.Report.metrics );
-          cell_checked phx "", "PHX" :: deltas phx.c_record.Report.metrics;
-        ] ))
+  if spec.analyzed then gap_geomeans (List.concat cells);
+  Option.iter
+    (fun (base, label) ->
+      let at tag cs = List.assoc tag (List.combine (List.map fst spec.columns) cs) in
+      phx_geomeans label (List.map (fun cs -> at base cs, at "PHX" cs) cells))
+    spec.phx_base
 
 (* ---------- Figure 11: end-to-end QAOA success probability ---------- *)
 
@@ -730,115 +712,83 @@ let timing () =
 
 (* ---------- compare: perf-trajectory deltas between two reports ---------- *)
 
-let load_records path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  List.map Report.record_of_json (Json.to_list (Json.parse s))
+(* A bench --json report.  An unreadable or malformed file ends the run
+   with [cmd: PATH: msg] and exit 1. *)
+let load_records cmd path =
+  try
+    let s = In_channel.with_open_bin path In_channel.input_all in
+    List.map Report.record_of_json (Json.to_list (Json.parse s))
+  with
+  | Sys_error msg -> die "%s: %s" cmd msg
+  | Json.Parse_error msg -> die "%s: %s: %s" cmd path msg
+
+(* How a compare column shows one matched row: the % change, the B/A
+   ratio, or each report's own gap. *)
+type shown = Delta | Ratio | Sides
+
+(* Each column reads one number per record; every column folds the B/A
+   ratio of each matched row into a geomean.  A value <= 0 means the
+   stage did not run or the record has no analysis: such a cell shows
+   "-" (or "n/a") and is counted as skipped, never folded in. *)
+let compare_columns =
+  let wall stage (r : Report.record) =
+    (Report.span_of r.Report.trace.Report.spans stage).Report.wall_s
+  in
+  List.map
+    (fun (name, f) ->
+      name, Delta, fun (r : Report.record) -> float_of_int (f r.Report.metrics))
+    gate_metrics
+  @ [ "time", Ratio, (fun r -> r.Report.metrics.Report.seconds) ]
+  @ List.map (fun stage -> stage, Ratio, wall stage) Report.stages
+  @ [
+      ( "alloc",
+        Ratio,
+        fun r ->
+          List.fold_left
+            (fun n (sp : Report.span) -> n +. float_of_int sp.Report.alloc_words)
+            0. r.Report.trace.Report.spans );
+      "gap", Sides, gap_total;
+    ]
 
 let compare_reports a_path b_path =
-  let load path =
-    try load_records path
-    with
-    | Sys_error msg ->
-      Printf.eprintf "compare: %s\n" msg;
-      exit 1
-    | Json.Parse_error msg ->
-      Printf.eprintf "compare: %s: %s\n" path msg;
-      exit 1
-  in
-  let a = load a_path and b = load b_path in
-  Printf.printf "=== compare: %s (A) vs %s (B) ===\n" a_path b_path;
-  Printf.printf "%-14s %-22s %10s %10s %10s %10s %8s %8s %8s %8s %8s %8s\n"
-    "benchmark" "config" "cnot" "total" "depth" "time" "sched" "synth" "alloc"
-    "lint" "gapA" "gapB";
-  let ratios_cnot = ref [] and ratios_total = ref [] in
-  let ratios_depth = ref [] and ratios_time = ref [] in
-  let ratios_sched = ref [] and ratios_synth = ref [] in
-  let ratios_alloc = ref [] and ratios_lint = ref [] in
-  let ratios_gap = ref [] in
-  let matched = ref 0 in
-  (* Cells dropped from the geomeans because one side is zero or absent
-     (stage didn't run, record carries no analysis).  Skipping is
-     correct — a 0 → x cell has no meaningful ratio and would make the
-     geomean degenerate — but it must be visible, not silent. *)
-  let skipped = ref 0 in
+  let a = load_records "compare" a_path and b = load_records "compare" b_path in
   let same (ra : Report.record) (rb : Report.record) =
     rb.Report.bench = ra.Report.bench && rb.Report.config = ra.Report.config
   in
+  let matched =
+    List.filter_map
+      (fun ra -> Option.map (fun rb -> ra, rb) (List.find_opt (same ra) b))
+      a
+  in
+  let line bench config cells =
+    Printf.printf "%-14s %-22s%s\n" bench config
+      (String.concat "" (List.map (Printf.sprintf " %9s") cells))
+  in
+  Printf.printf "=== compare: %s (A) vs %s (B) ===\n" a_path b_path;
+  line "benchmark" "config"
+    (List.concat_map
+       (fun (name, shown, _) ->
+         if shown = Sides then [ name ^ "A"; name ^ "B" ] else [ name ])
+       compare_columns);
   List.iter
-    (fun (ra : Report.record) ->
-      match List.find_opt (same ra) b with
-      | None -> ()
-      | Some rb ->
-        incr matched;
-        let ma = ra.Report.metrics and mb = rb.Report.metrics in
-        let ratio accessor store =
-          let va = accessor ma and vb = accessor mb in
-          if va > 0. && vb > 0. then store := (vb /. va) :: !store
-          else incr skipped
-        in
-        ratio (fun (m : Report.metrics) -> float_of_int m.Report.cnot) ratios_cnot;
-        ratio (fun (m : Report.metrics) -> float_of_int m.Report.total) ratios_total;
-        ratio (fun (m : Report.metrics) -> float_of_int m.Report.depth) ratios_depth;
-        ratio (fun (m : Report.metrics) -> m.Report.seconds) ratios_time;
-        (* span wall-time / allocation ratios: defined only when both
-           reports have a nonzero measurement (the stage ran) *)
-        let stage_ratio va vb store =
-          if va > 0. && vb > 0. then begin
-            store := (vb /. va) :: !store;
-            Printf.sprintf "%.2fx" (vb /. va)
-          end
-          else begin
-            incr skipped;
-            "-"
-          end
-        in
-        let wall stage (r : Report.record) =
-          (Report.span_of r.Report.trace.Report.spans stage).Report.wall_s
-        in
-        let alloc (r : Report.record) =
-          List.fold_left
-            (fun n (sp : Report.span) -> n +. float_of_int sp.Report.alloc_words)
-            0. r.Report.trace.Report.spans
-        in
-        let stage_wall stage store = stage_ratio (wall stage ra) (wall stage rb) store in
-        let sched = stage_wall "schedule" ratios_sched in
-        let synth = stage_wall "synthesis" ratios_synth in
-        let alloc = stage_ratio (alloc ra) (alloc rb) ratios_alloc in
-        let lint = stage_wall "lint" ratios_lint in
-        (* total-gap ratio of each side; "n/a" (never a fake 0.00) when a
-           record carries no analysis or its floor is zero *)
-        let gap (r : Report.record) =
-          match r.Report.trace.Report.analysis with
-          | Some { Analysis.Gap.gap_total = Some g; _ } -> Some g
-          | Some _ | None -> None
-        in
-        let ga = gap ra and gb = gap rb in
-        (match ga, gb with
-        | Some ga, Some gb when ga > 0. && gb > 0. ->
-          ratios_gap := (gb /. ga) :: !ratios_gap
-        | _ -> incr skipped);
-        let gap_cell = function
-          | Some g -> Printf.sprintf "%.2fx" g
-          | None -> "n/a"
-        in
-        Printf.printf "%-14s %-22s %10s %10s %10s %9.2fx %8s %8s %8s %8s %8s %8s\n"
-          ra.Report.bench ra.Report.config
-          (pct ma.Report.cnot mb.Report.cnot)
-          (pct ma.Report.total mb.Report.total)
-          (pct ma.Report.depth mb.Report.depth)
-          (if ma.Report.seconds > 0. then mb.Report.seconds /. ma.Report.seconds
-           else nan)
-          sched synth alloc lint (gap_cell ga) (gap_cell gb))
-    a;
+    (fun ((ra : Report.record), rb) ->
+      line ra.Report.bench ra.Report.config
+        (List.concat_map
+           (fun (_, shown, f) ->
+             let va = f ra and vb = f rb in
+             match shown with
+             | Delta -> [ pct (truncate va) (truncate vb) ]
+             | Ratio ->
+               [ (if va > 0. && vb > 0. then Printf.sprintf "%.2fx" (vb /. va) else "-") ]
+             | Sides -> [ show_gap va; show_gap vb ])
+           compare_columns))
+    matched;
   (* Rows present in only one report used to vanish silently, hiding
      added/removed benchmarks (and typoed config names) from the diff. *)
   let only tag xs ys =
-    let missing =
-      List.filter (fun r -> not (List.exists (same r) ys)) xs
-    in
-    if missing <> [] then
+    match List.filter (fun r -> not (List.exists (same r) ys)) xs with
+    | [] -> ()
+    | missing ->
       Printf.printf "rows only in %s (%d): %s\n" tag (List.length missing)
         (String.concat ", "
            (List.map
@@ -847,204 +797,104 @@ let compare_reports a_path b_path =
   in
   only "A" a b;
   only "B" b a;
-  if !matched = 0 then begin
+  if matched = [] then begin
     Printf.printf "no (benchmark, config) pairs in common\n";
     1
   end
   else begin
-    let gm name = function
-      | [] -> Printf.printf "geomean %-8s (no data)\n" name
-      | rs -> Printf.printf "geomean %-8s %.3fx (B/A, %d rows)\n" name
-                (Report.geomean rs) (List.length rs)
-    in
     print_newline ();
-    gm "cnot" !ratios_cnot;
-    gm "total" !ratios_total;
-    gm "depth" !ratios_depth;
-    gm "time" !ratios_time;
-    gm "sched" !ratios_sched;
-    gm "synth" !ratios_synth;
-    gm "alloc" !ratios_alloc;
-    gm "lint" !ratios_lint;
-    gm "gap" !ratios_gap;
+    let skipped = ref 0 in
+    List.iter
+      (fun (name, _, f) ->
+        let rs =
+          List.filter_map
+            (fun (ra, rb) ->
+              let va = f ra and vb = f rb in
+              if va > 0. && vb > 0. then Some (vb /. va) else None)
+            matched
+        in
+        skipped := !skipped + List.length matched - List.length rs;
+        if rs = [] then Printf.printf "geomean %-9s (no data)\n" name
+        else
+          Printf.printf "geomean %-9s %.3fx (B/A, %d rows)\n" name
+            (Report.geomean rs) (List.length rs))
+      compare_columns;
     if !skipped > 0 then
       Printf.printf
         "skipped %d zero/absent-valued cells across %d matched rows (not \
          folded into geomeans)\n"
-        !skipped !matched;
+        !skipped (List.length matched);
     0
   end
-
-(* ---------- serve: daemon throughput / latency study ---------- *)
-
-(* Spins an in-process serve daemon (ephemeral port, workers from
-   --jobs, cache from --cache) and fires table-2 FT workloads at it
-   with the phc-bomb load generator.  Defaults to the Heisen-1D
-   workload; pass benchmark names to widen the set. *)
-let serve_bench ~clients ~rps ~duration filters =
-  let benches =
-    match List.filter (wanted filters) (Suite.ft ()) with
-    | benches when filters <> [] -> benches
-    | benches ->
-      List.filter (fun (b : Suite.t) -> b.Suite.name = "Heisen-1D") benches
-  in
-  if benches = [] then begin
-    prerr_endline "serve: no matching FT benchmarks";
-    exit 1
-  end;
-  let workloads =
-    List.map
-      (fun (b : Suite.t) ->
-        (* canonical text: numeric parameters, so the daemon-side parse
-           needs no bindings *)
-        Ph_serve.Bomb.workload ~name:b.Suite.name
-          (Ph_serve.Protocol.compile_request ~name:b.Suite.name ~backend:"ft"
-             (Ph_pool.Batch.canonical_text (b.Suite.generate ()))))
-      benches
-  in
-  let server =
-    Ph_serve.Server.start
-      (Ph_serve.Server.config ~jobs:!bench_jobs ~max_queue:256
-         ?cache:!bench_cache
-         ~log:(fun m -> Printf.eprintf "serve: %s\n%!" m)
-         (Ph_serve.Protocol.Tcp ("127.0.0.1", 0)))
-  in
-  Printf.printf "\n=== serve: %d client(s), %d worker(s), %.0fs%s ===\n%!"
-    clients !bench_jobs duration
-    (if rps > 0. then Printf.sprintf ", %.0f rps target" rps else "");
-  List.iter
-    (fun (w : Ph_serve.Bomb.workload) ->
-      Printf.printf "workload: %s\n" w.Ph_serve.Bomb.w_name)
-    workloads;
-  let summary =
-    Ph_serve.Bomb.run
-      ~address:(Ph_serve.Server.address server)
-      ~clients ~rps ~duration_s:duration workloads
-  in
-  Ph_serve.Bomb.print_summary stdout summary;
-  Ph_serve.Server.drain server;
-  exit
-    (if
-       summary.Ph_serve.Bomb.failed = 0
-       && summary.Ph_serve.Bomb.transport_errors = 0
-       && summary.Ph_serve.Bomb.mismatches = 0
-       && summary.Ph_serve.Bomb.ok > 0
-     then 0
-     else 1)
-
-(* ---------- scale: the scheduler-scaling study ---------- *)
-
-(* DO and PHX compiles of the 64-256 qubit scale suite (FT backend),
-   with the scheduling stage's wall time broken out — the table the
-   schedule_s speedup target is measured on. *)
-let scale_table filters =
-  header "Scale: DO vs PHX scheduling at 64-256 qubits (FT backend)"
-    [ "config"; "cnot"; "single"; "total"; "depth"; "time(s)"; "sched(s)"; "gap" ];
-  let cells =
-    pooled
-      (List.filter (wanted filters) (Suite.scale ()))
-      (fun (b : Suite.t) ->
-        let prog = b.Suite.generate () in
-        let compiled schedule config =
-          analyzed prog
-            (ph_cell ~bench:b.Suite.name ~config (Config.ft ~schedule ()) prog)
-        in
-        let ph = compiled Config.Depth_oriented "scale/PH" in
-        let phx = compiled Config.Phoenix_like "scale/PHX" in
-        let sched c =
-          Printf.sprintf "%.3f"
-            (Report.span_of c.c_record.Report.trace.Report.spans "schedule")
-              .Report.wall_s
-        in
-        ( [ ph; phx ],
-          [
-            ( b.Suite.name,
-              (cell_checked ph "PH" :: cell_cols ph)
-              @ [ sched ph; gap_col ph ] );
-            ( "",
-              (cell_checked phx "PHX" :: cell_cols phx)
-              @ [ sched phx; gap_col phx ] );
-          ] ))
-  in
-  gap_geomeans cells;
-  phx_geomeans ~base_cfg:"scale/PH" ~phx_cfg:"scale/PHX" ~base_name:"DO" cells
 
 (* ---------- driver ---------- *)
 
 let experiments =
+  let run name = name, run_table (table name) in
   [
     "table1", table1;
-    "table2-sc", table2_sc;
-    "table2-ft", table2_ft;
-    "table3", table3;
-    "table4-sched", table4_sched;
-    "table4-bc", table4_bc;
+    run "table2-sc";
+    run "table2-ft";
+    run "table3";
+    run "table4-sched";
+    run "table4-bc";
     "fig11", fig11;
     "ablation", ablation;
-    "scale", scale_table;
+    run "scale";
   ]
 
 let usage () =
-  prerr_endline
+  die
     "usage: main.exe [table1|table2-sc|table2-ft|table3|table4-sched|table4-bc|fig11|ablation|scale|timing] [benchmark names...] [--json FILE] [--lint] [--jobs N] [--sched-jobs N] [--cache DIR]\n\
     \       main.exe compare A.json B.json\n\
-    \       main.exe serve [benchmark names...] [--clients N] [--rps R] [--duration S] [--jobs N] [--cache DIR]\n\
     \       main.exe history record --commit LABEL [--db FILE] [--suite ft|sc|scale|all] [--jobs N]\n\
-    \       main.exe history import FILE.json --commit LABEL [--db FILE]\n\
     \       main.exe history show [--db FILE] [--counter NAME] [--last N]\n\
     \       main.exe history compare A B [--db FILE]   (commit labels or .json reports)\n\
-    \       main.exe history gate [--db FILE] [--candidate FILE.csv|FILE.json] [--against LABEL] [--suite ft|sc|scale|all] [--threshold PCT]";
-  exit 1
+    \       main.exe history gate [--db FILE] [--candidate FILE.csv|FILE.json | --suite ft|sc|scale|all] [--against LABEL] [--threshold PCT]"
 
 (* ---------- history: per-commit deterministic counter db ---------- *)
 
-let rec extract_opt key acc = function
-  | k :: v :: rest when k = key -> Some v, List.rev_append acc rest
-  | [ k ] when k = key -> usage ()
-  | x :: rest -> extract_opt key (x :: acc) rest
-  | [] -> None, List.rev acc
+(* [extract_opt key args]: the value of [key VALUE] and the rest of
+   [args]; a trailing [key] with no value is a usage error. *)
+let extract_opt key args =
+  let rec go acc = function
+    | k :: v :: rest when k = key -> Some v, List.rev_append acc rest
+    | [ k ] when k = key -> usage ()
+    | x :: rest -> go (x :: acc) rest
+    | [] -> None, List.rev acc
+  in
+  go [] args
 
-let rec extract_flag key acc = function
-  | k :: rest when k = key -> true, List.rev_append acc rest
-  | x :: rest -> extract_flag key (x :: acc) rest
-  | [] -> false, List.rev acc
+(* [key N] with N >= 1, [default] when absent. *)
+let extract_count key ~default args =
+  match extract_opt key args with
+  | None, rest -> default, rest
+  | Some s, rest -> (
+    match int_of_string_opt s with Some n when n >= 1 -> n, rest | _ -> usage ())
 
 let default_db = "perf/history.csv"
 
-(* Fresh PH compiles of the table-2 suites (never cache-served: the
-   counters must measure work actually performed here).  Row identity
-   matches the table runners so imported BENCH_*.json rows and freshly
-   recorded rows land on the same (bench, config) keys. *)
+(* Fresh compiles of the PH columns (PH, PHX) of the table specs behind
+   [suite] (never cache-served: the counters must measure work actually
+   performed here), under the tables' own row labels. *)
 let history_records suite =
-  let ft_do = Config.ft ~schedule:Config.Depth_oriented ()
-  and ft_phx = Config.ft ~schedule:Config.Phoenix_like () in
-  let items prefix benches ph_base phx_base =
-    List.map (fun b -> prefix, b, [ "PH", ph_base; "PHX", phx_base ]) benches
+  let specs =
+    List.map table
+      (match suite with
+      | "ft" -> [ "table2-ft" ]
+      | "sc" -> [ "table2-sc" ]
+      | "scale" -> [ "scale" ]
+      | "all" -> [ "table2-ft"; "table2-sc"; "scale" ]
+      | _ -> usage ())
   in
-  let ft () = items "table2-ft" (Suite.ft ()) ft_do ft_phx in
-  let sc () =
-    items "table2-sc" (Suite.sc ()) (Config.sc sc_device)
-      (Config.sc ~schedule:Config.Phoenix_like sc_device)
-  in
-  let scale () = items "scale" (Suite.scale ()) ft_do ft_phx in
-  let items =
-    match suite with
-    | "ft" -> ft ()
-    | "sc" -> sc ()
-    | "scale" -> scale ()
-    | "all" -> ft () @ sc () @ scale ()
-    | _ -> usage ()
-  in
-  Ph_pool.Pool.map ~jobs:!bench_jobs
-    (fun (prefix, (b : Suite.t), configs) ->
-      let prog = b.Suite.generate () in
-      List.map
-        (fun (tag, base) ->
-          let config = prefix ^ "/" ^ tag in
-          analyzed_record prog
-            (cell ~bench:b.Suite.name ~config prog (ph base prog)).c_record)
-        configs)
-    items
+  List.concat_map (fun spec -> List.map (fun b -> spec, b) (spec.suite ())) specs
+  |> Ph_pool.Pool.map ~jobs:!bench_jobs (fun (spec, (b : Suite.t)) ->
+         let prog = b.Suite.generate () in
+         List.filter_map
+           (function
+             | _, Ph _ as col -> Some (table_cell ~cache:None spec b prog col).c_record
+             | _, Baseline _ -> None)
+           spec.columns)
   |> List.concat_map (function Stdlib.Ok rs -> rs | Stdlib.Error e -> raise e)
 
 let rows_of_records ~commit records =
@@ -1054,40 +904,38 @@ let rows_of_records ~commit records =
    a bench --json report (rows synthesized under the file name). *)
 let history_operand db spec =
   if Filename.check_suffix spec ".json" then
-    spec, rows_of_records ~commit:spec (load_records spec)
+    spec, rows_of_records ~commit:spec (load_records "history" spec)
   else spec, Ph_perf.Db.rows_for db spec
 
 let last_commit db =
   match List.rev (Ph_perf.Db.commits db) with
-  | [] ->
-    prerr_endline "history: empty db";
-    exit 1
+  | [] -> die "history: empty db"
   | c :: _ -> c
 
 let print_summaries summaries =
   Printf.printf "%-26s %8s %6s %7s %7s %7s\n" "counter" "ratio" "rows"
     "skipped" "only-A" "only-B";
-  let total_skipped = ref 0 in
   List.iter
     (fun (s : Ph_perf.History.summary) ->
-      total_skipped := !total_skipped + s.skipped;
       Printf.printf "%-26s %8s %6d %7d %7d %7d\n" s.counter
         (if Float.is_nan s.ratio then "-"
          else Printf.sprintf "%.3fx" s.ratio)
         (s.matched - s.skipped) s.skipped s.only_baseline s.only_candidate)
     summaries;
-  if !total_skipped > 0 then
+  let skipped =
+    List.fold_left (fun n (s : Ph_perf.History.summary) -> n + s.skipped) 0 summaries
+  in
+  if skipped > 0 then
     Printf.printf
-      "skipped %d zero-valued cells (not folded into per-counter geomeans)\n"
-      !total_skipped
+      "skipped %d zero-valued cells (not folded into per-counter geomeans)\n" skipped
 
 let history_entry args =
-  let db_path, args = extract_opt "--db" [] args in
+  let db_path, args = extract_opt "--db" args in
   let db_path = Option.value db_path ~default:default_db in
   match args with
   | "record" :: rest ->
-    let commit, rest = extract_opt "--commit" [] rest in
-    let suite, rest = extract_opt "--suite" [] rest in
+    let commit, rest = extract_opt "--commit" rest in
+    let suite, rest = extract_opt "--suite" rest in
     if rest <> [] then usage ();
     let commit = match commit with Some c -> c | None -> usage () in
     let suite = Option.value suite ~default:"ft" in
@@ -1097,24 +945,10 @@ let history_entry args =
     Printf.printf "history: appended %d rows (%d records, suite %s) for %s to %s\n"
       (List.length rows) (List.length records) suite commit db_path;
     0
-  | "import" :: file :: rest ->
-    let commit, rest = extract_opt "--commit" [] rest in
-    if rest <> [] then usage ();
-    let commit = match commit with Some c -> c | None -> usage () in
-    let rows = rows_of_records ~commit (load_records file) in
-    Ph_perf.Db.append db_path rows;
-    Printf.printf "history: imported %d rows from %s as %s into %s\n"
-      (List.length rows) file commit db_path;
-    0
   | "show" :: rest ->
-    let counter, rest = extract_opt "--counter" [] rest in
-    let last, rest = extract_opt "--last" [] rest in
+    let counter, rest = extract_opt "--counter" rest in
+    let last, rest = extract_count "--last" ~default:5 rest in
     if rest <> [] then usage ();
-    let last =
-      match last with
-      | None -> 5
-      | Some s -> (match int_of_string_opt s with Some n when n >= 1 -> n | _ -> usage ())
-    in
     let db = Ph_perf.Db.load db_path in
     if db = [] then begin
       Printf.printf "history: %s is empty\n" db_path;
@@ -1138,12 +972,9 @@ let history_entry args =
           let present =
             List.filter_map (fun (c, v) -> Option.map (fun v -> c, v) v) traj
           in
-          let tail xs n =
-            let len = List.length xs in
-            if len <= n then xs else List.filteri (fun i _ -> i >= len - n) xs
-          in
+          let drop = List.length present - (last + 1) in
           let deltas =
-            match tail present (last + 1) with
+            match List.filteri (fun i _ -> i >= drop) present with
             | [] | [ _ ] -> "(no trajectory)"
             | (_, v0) :: steps ->
               let prev = ref v0 in
@@ -1159,27 +990,22 @@ let history_entry args =
         names;
       0
     end
-  | "compare" :: rest ->
-    let rest, operands =
-      List.partition (fun a -> String.length a > 2 && String.sub a 0 2 = "--") rest
-    in
-    if rest <> [] then usage ();
-    (match operands with
-    | [ a; b ] ->
-      let db = Ph_perf.Db.load db_path in
-      let la, base = history_operand db a in
-      let lb, cand = history_operand db b in
-      Printf.printf "=== history compare: %s (A, %d rows) vs %s (B, %d rows) ===\n"
-        la (List.length base) lb (List.length cand);
-      print_summaries (Ph_perf.History.summarize ~baseline:base ~candidate:cand);
-      0
-    | _ -> usage ())
+  | [ "compare"; a; b ]
+    when not (List.exists (String.starts_with ~prefix:"--") [ a; b ]) ->
+    let db = Ph_perf.Db.load db_path in
+    let la, base = history_operand db a in
+    let lb, cand = history_operand db b in
+    Printf.printf "=== history compare: %s (A, %d rows) vs %s (B, %d rows) ===\n"
+      la (List.length base) lb (List.length cand);
+    print_summaries (Ph_perf.History.summarize ~baseline:base ~candidate:cand);
+    0
   | "gate" :: rest ->
-    let threshold, rest = extract_opt "--threshold" [] rest in
-    let against, rest = extract_opt "--against" [] rest in
-    let candidate, rest = extract_opt "--candidate" [] rest in
-    let suite, rest = extract_opt "--suite" [] rest in
-    if rest <> [] then usage ();
+    let threshold, rest = extract_opt "--threshold" rest in
+    let against, rest = extract_opt "--against" rest in
+    let candidate, rest = extract_opt "--candidate" rest in
+    let suite, rest = extract_opt "--suite" rest in
+    (* --suite picks the fresh run; a candidate file is not one *)
+    if rest <> [] || (candidate <> None && suite <> None) then usage ();
     let threshold =
       match threshold with
       | None -> 2.
@@ -1189,11 +1015,8 @@ let history_entry args =
     let db = Ph_perf.Db.load db_path in
     let base_label = match against with Some l -> l | None -> last_commit db in
     let baseline = Ph_perf.Db.rows_for db base_label in
-    if baseline = [] then begin
-      Printf.eprintf "history gate: no rows for baseline %s in %s\n" base_label
-        db_path;
-      exit 1
-    end;
+    if baseline = [] then
+      die "history gate: no rows for baseline %s in %s" base_label db_path;
     let cand_label, cand_rows =
       match candidate with
       | Some file when Filename.check_suffix file ".json" -> history_operand db file
@@ -1202,8 +1025,7 @@ let history_entry args =
         let c = last_commit cdb in
         Printf.sprintf "%s@%s" file c, Ph_perf.Db.rows_for cdb c
       | None ->
-        let suite = Option.value suite ~default:"ft" in
-        let records = history_records suite in
+        let records = history_records (Option.value suite ~default:"ft") in
         "fresh-run", rows_of_records ~commit:"fresh-run" records
     in
     Printf.printf
@@ -1236,50 +1058,25 @@ let history_entry args =
   | _ -> usage ()
 
 let () =
-  let json_path, args = extract_opt "--json" [] (List.tl (Array.to_list Sys.argv)) in
-  let lint_flag, args = extract_flag "--lint" [] args in
-  lint_enabled := lint_flag;
-  let jobs, args = extract_opt "--jobs" [] args in
-  (match jobs with
-  | Some s ->
-    (match int_of_string_opt s with
-    | Some n when n >= 1 -> bench_jobs := n
-    | _ -> usage ())
-  | None -> ());
-  let sched_jobs, args = extract_opt "--sched-jobs" [] args in
-  (match sched_jobs with
-  | Some s ->
-    (match int_of_string_opt s with
-    | Some n when n >= 1 -> bench_sched_jobs := n
-    | _ -> usage ())
-  | None -> ());
-  let cache_dir, args = extract_opt "--cache" [] args in
-  (match cache_dir with
-  | Some dir -> bench_cache := Some (Ph_pool.Cache.create ~dir ())
-  | None -> ());
-  json_enabled := json_path <> None;
+  let json_path, args = extract_opt "--json" (List.tl (Array.to_list Sys.argv)) in
+  if List.mem "--lint" args then bench_lint := Lint.Diag.Warn;
+  let args = List.filter (( <> ) "--lint") args in
+  let jobs, args = extract_count "--jobs" ~default:1 args in
+  bench_jobs := jobs;
+  let sched_jobs, args = extract_count "--sched-jobs" ~default:1 args in
+  bench_sched_jobs := sched_jobs;
+  let cache_dir, args = extract_opt "--cache" args in
+  bench_cache := Option.map (fun dir -> Ph_pool.Cache.create ~dir ()) cache_dir;
   (match args with
-  | "compare" :: a :: b :: _ -> exit (compare_reports a b)
+  | [ "compare"; a; b ] -> exit (compare_reports a b)
   | "compare" :: _ -> usage ()
   | "history" :: rest -> exit (history_entry rest)
-  | "serve" :: rest ->
-    let num key default rest =
-      match extract_opt key [] rest with
-      | None, rest -> default, rest
-      | Some s, rest ->
-        (match float_of_string_opt s with Some f when f > 0. -> f, rest | _ -> usage ())
-    in
-    let clients, rest = num "--clients" 4. rest in
-    let rps, rest = num "--rps" 0. rest in
-    let duration, rest = num "--duration" 5. rest in
-    serve_bench ~clients:(int_of_float clients) ~rps ~duration rest
   | "timing" :: _ -> timing ()
   | name :: filters when List.mem_assoc name experiments ->
     (List.assoc name experiments) filters
   | [] -> List.iter (fun (_, f) -> f []) experiments
   | _ -> usage ());
-  (match json_path with Some path -> write_json path | None -> ());
-  match !bench_cache with
-  | Some cache ->
-    print_endline (Ph_pool.Cache.summary (Ph_pool.Cache.counters cache))
-  | None -> ()
+  Option.iter write_json json_path;
+  Option.iter
+    (fun cache -> print_endline (Ph_pool.Cache.summary (Ph_pool.Cache.counters cache)))
+    !bench_cache

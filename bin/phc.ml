@@ -460,7 +460,8 @@ let run_analyze file backend device schedule window params gap_threshold lint
   if json then
     (* a one-element list of the normalized record — the exact shape
        bench/main.exe --json writes, so `bench compare` can diff the
-       gap columns of two analyze runs *)
+       metrics and gaps of two analyze runs (normalized spans hold no
+       wall time, so its stage columns read "-") *)
     let record =
       Ph_pool.Batch.record ~bench:(Filename.basename file)
         ~config_name:(config_name backend device schedule)
