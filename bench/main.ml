@@ -506,25 +506,7 @@ let fig11 filters =
            low-lookahead routing, matching the strength of the generic
            compiler the paper benchmarked against (EXPERIMENTS.md
            discusses the stronger modern-router baseline). *)
-        let base =
-          let lowered = Ph_synthesis.Naive.synthesize prog in
-          let routed =
-            Ph_baselines.Router.route ~initial:`Identity ~lookahead:1
-              ~coupling:device lowered.Ph_synthesis.Emit.circuit
-          in
-          let circuit =
-            Ph_gatelevel.Peephole.optimize
-              (Ph_gatelevel.Circuit.decompose_swaps routed.Ph_baselines.Router.circuit)
-          in
-          {
-            Pipelines.circuit;
-            rotations = lowered.Ph_synthesis.Emit.rotations;
-            initial_layout = Some routed.Ph_baselines.Router.initial_layout;
-            final_layout = Some routed.Ph_baselines.Router.final_layout;
-            metrics = Report.of_circuit circuit;
-            trace = Report.empty_trace;
-          }
-        in
+        let base = Pipelines.naive_sc_trivial device prog in
         let ph = ph (Config.sc device) prog in
         let eval r seed =
           Ph_sim.Qaoa_run.evaluate ~noise ~trajectories ~seed g (kernel_of r) ~beta
@@ -567,31 +549,26 @@ let ablation filters =
         row name [ vname; string_of_int m.Report.cnot; string_of_int m.Report.depth ])
       variants
   in
-  let ft_mode mode prog =
-    let layers = Ph_schedule.Gco.schedule prog in
-    let r = Ph_synthesis.Ft_backend.synthesize ~mode ~n_qubits:(Program.n_qubits prog) layers in
-    Report.of_circuit (Ph_gatelevel.Peephole.optimize r.Ph_synthesis.Emit.circuit)
+  (* each variant swaps one choice before the generic stage *)
+  let lowered synthesize prog =
+    let r, _, _, _ = Compiler.generic_stage (Report.clock ()) (synthesize prog) in
+    Report.of_circuit r.Ph_synthesis.Emit.circuit
   in
-  let do_padding padding prog =
-    let layers = Ph_schedule.Depth_oriented.schedule ~padding prog in
-    let r = Ph_synthesis.Ft_backend.synthesize ~n_qubits:(Program.n_qubits prog) layers in
-    Report.of_circuit (Ph_gatelevel.Peephole.optimize r.Ph_synthesis.Emit.circuit)
+  let ft ?mode layers prog =
+    `Logical (Ph_synthesis.Ft_backend.synthesize ?mode ~n_qubits:(Program.n_qubits prog) layers)
   in
-  let sc_root root_policy prog =
-    let layers = Ph_schedule.Depth_oriented.schedule prog in
-    let r =
-      Ph_synthesis.Sc_backend.synthesize ~root_policy ~coupling:sc_device
-        ~n_qubits:(Program.n_qubits prog) layers
-    in
-    Report.of_circuit
-      (Ph_gatelevel.Peephole.optimize
-         (Ph_gatelevel.Circuit.decompose_swaps r.Ph_synthesis.Sc_backend.circuit))
+  let ft_mode mode = lowered (fun prog -> ft ~mode (Ph_schedule.Gco.schedule prog) prog) in
+  let do_padding padding =
+    lowered (fun prog -> ft (Ph_schedule.Depth_oriented.schedule ~padding prog) prog)
   in
-  let lex_rank rank prog =
-    let layers = Ph_schedule.Gco.schedule ?rank prog in
-    let r = Ph_synthesis.Ft_backend.synthesize ~n_qubits:(Program.n_qubits prog) layers in
-    Report.of_circuit (Ph_gatelevel.Peephole.optimize r.Ph_synthesis.Emit.circuit)
+  let sc_root root_policy =
+    lowered (fun prog ->
+        `Routed
+          (Ph_synthesis.Sc_backend.synthesize ~root_policy ~coupling:sc_device
+             ~n_qubits:(Program.n_qubits prog)
+             (Ph_schedule.Depth_oriented.schedule prog)))
   in
+  let lex_rank rank = lowered (fun prog -> ft (Ph_schedule.Gco.schedule ?rank prog) prog) in
   let run name cases =
     if filters = [] || List.mem name filters then begin
       let prog = (Suite.find name).Suite.generate () in
@@ -900,12 +877,21 @@ let history_records suite =
 let rows_of_records ~commit records =
   List.concat_map (Report.perf_rows ~commit) records
 
+(* The rows of commit [label]; a label the db does not hold is an error
+   that names the labels it does. *)
+let commit_rows ~cmd ~db_path db label =
+  match Ph_perf.Db.rows_for db label with
+  | [] ->
+    die "history %s: no rows for %s in %s (known commits: %s)" cmd label db_path
+      (String.concat " " (Ph_perf.Db.commits db))
+  | rows -> rows
+
 (* A comparison operand is either a commit label in the db or a path to
    a bench --json report (rows synthesized under the file name). *)
-let history_operand db spec =
+let history_operand ~cmd ~db_path db spec =
   if Filename.check_suffix spec ".json" then
     spec, rows_of_records ~commit:spec (load_records "history" spec)
-  else spec, Ph_perf.Db.rows_for db spec
+  else spec, commit_rows ~cmd ~db_path db spec
 
 let last_commit db =
   match List.rev (Ph_perf.Db.commits db) with
@@ -993,8 +979,8 @@ let history_entry args =
   | [ "compare"; a; b ]
     when not (List.exists (String.starts_with ~prefix:"--") [ a; b ]) ->
     let db = Ph_perf.Db.load db_path in
-    let la, base = history_operand db a in
-    let lb, cand = history_operand db b in
+    let la, base = history_operand ~cmd:"compare" ~db_path db a in
+    let lb, cand = history_operand ~cmd:"compare" ~db_path db b in
     Printf.printf "=== history compare: %s (A, %d rows) vs %s (B, %d rows) ===\n"
       la (List.length base) lb (List.length cand);
     print_summaries (Ph_perf.History.summarize ~baseline:base ~candidate:cand);
@@ -1014,12 +1000,11 @@ let history_entry args =
     in
     let db = Ph_perf.Db.load db_path in
     let base_label = match against with Some l -> l | None -> last_commit db in
-    let baseline = Ph_perf.Db.rows_for db base_label in
-    if baseline = [] then
-      die "history gate: no rows for baseline %s in %s" base_label db_path;
+    let baseline = commit_rows ~cmd:"gate" ~db_path db base_label in
     let cand_label, cand_rows =
       match candidate with
-      | Some file when Filename.check_suffix file ".json" -> history_operand db file
+      | Some file when Filename.check_suffix file ".json" ->
+        history_operand ~cmd:"gate" ~db_path db file
       | Some file ->
         let cdb = Ph_perf.Db.load file in
         let c = last_commit cdb in
@@ -1071,7 +1056,7 @@ let () =
   | [ "compare"; a; b ] -> exit (compare_reports a b)
   | "compare" :: _ -> usage ()
   | "history" :: rest -> exit (history_entry rest)
-  | "timing" :: _ -> timing ()
+  | [ "timing" ] -> timing ()
   | name :: filters when List.mem_assoc name experiments ->
     (List.assoc name experiments) filters
   | [] -> List.iter (fun (_, f) -> f []) experiments

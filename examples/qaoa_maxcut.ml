@@ -45,25 +45,6 @@ let () =
   let ph = evaluate "PH" (Pipelines.ph (Config.sc ~noise device) program) in
   (* Baseline: adjacency-order synthesis + trivial-layout routing, the
      generic-compiler strength of the paper's study (see bench fig11). *)
-  let base =
-    let lowered = Ph_synthesis.Naive.synthesize program in
-    let routed =
-      Ph_baselines.Router.route ~initial:`Identity ~lookahead:1 ~coupling:device
-        lowered.Ph_synthesis.Emit.circuit
-    in
-    let circuit =
-      Ph_gatelevel.Peephole.optimize
-        (Ph_gatelevel.Circuit.decompose_swaps routed.Ph_baselines.Router.circuit)
-    in
-    evaluate "generic"
-      {
-        Pipelines.circuit;
-        rotations = lowered.Ph_synthesis.Emit.rotations;
-        initial_layout = Some routed.Ph_baselines.Router.initial_layout;
-        final_layout = Some routed.Ph_baselines.Router.final_layout;
-        metrics = Report.of_circuit circuit;
-        trace = Report.empty_trace;
-      }
-  in
+  let base = evaluate "generic" (Pipelines.naive_sc_trivial device program) in
   Printf.printf "\nPH / generic success ratio: %.2fx\n"
     (ph.Ph_sim.Qaoa_run.success /. base.Ph_sim.Qaoa_run.success)

@@ -39,18 +39,8 @@ let version = "phc-cert/1"
    reorderings never change the digest), every float printed in its
    shortest round-tripping form. *)
 let canonical_block_text b =
-  let b = Block.sort_terms_lex b in
   let buf = Buffer.create 128 in
-  Buffer.add_char buf '{';
-  List.iter
-    (fun (t : Pauli_term.t) ->
-      Buffer.add_string buf
-        (Printf.sprintf "(%s, %s), "
-           (Pauli_string.to_string t.Pauli_term.str)
-           (Ph_pauli.Float_text.repr t.Pauli_term.coeff)))
-    (Block.terms b);
-  Buffer.add_string buf (Ph_pauli.Float_text.repr (Block.param b).Block.value);
-  Buffer.add_char buf '}';
+  Block.to_buffer ~param:`Value ~sorted:true buf b;
   Buffer.contents buf
 
 let block_digest b = Digest.to_hex (Digest.string (canonical_block_text b))

@@ -32,6 +32,3 @@ val scale : unit -> t list
     ["Heisen-2D"], ["NaCl"]).
     @raise Not_found on unknown names. *)
 val find : ?full:bool -> string -> t
-
-(** [full_requested ()] — true when [PH_BENCH_FULL=1] is set. *)
-val full_requested : unit -> bool

@@ -22,7 +22,10 @@ let schedule_layers config prog =
   let window = config.Config.window in
   let jobs = config.Config.sched_jobs in
   match config.Config.schedule with
-  | Config.Program_order ->
+  | Config.Program_order | Config.Phoenix_like ->
+    (* under Phoenix [prog] is the post-opt program: [Ph_opt.Pass]
+       already fixed the block order (GCO-sorted within each Clifford
+       frame), so the layers are its blocks verbatim *)
     let layers = List.map Layer.of_block (Program.blocks prog) in
     layers, (List.length layers, 0)
   | Config.Gco ->
@@ -34,12 +37,33 @@ let schedule_layers config prog =
   | Config.Max_overlap ->
     let layers = Max_overlap.schedule ~window ~jobs prog in
     layers, (List.length layers, 0)
-  | Config.Phoenix_like ->
-    (* [prog] here is the post-opt program: [Ph_opt.Pass] already fixed
-       the block order (GCO-sorted within each Clifford frame), so the
-       layers are its blocks verbatim *)
-    let layers = List.map Layer.of_block (Program.blocks prog) in
-    layers, (List.length layers, 0)
+
+let generic_stage ?(peephole = true) clock synthesized =
+  let circuit, rotations, initial_layout, final_layout, sc_swaps =
+    match synthesized with
+    | `Logical (r : Emit.result) -> r.Emit.circuit, r.Emit.rotations, None, None, 0
+    | `Routed (r : Sc_backend.result) ->
+      ( Report.time clock "swap" (fun () -> Circuit.decompose_swaps r.Sc_backend.circuit),
+        r.Sc_backend.rotations,
+        Some r.Sc_backend.initial_layout,
+        Some r.Sc_backend.final_layout,
+        r.Sc_backend.swaps )
+  in
+  let circuit, (pstats : Peephole.stats) =
+    if peephole then Report.time clock "peephole" (fun () -> Peephole.optimize_stats circuit)
+    else circuit, { Peephole.removed = 0; rounds = 0 }
+  in
+  ( { Emit.circuit; rotations },
+    initial_layout,
+    final_layout,
+    {
+      Report.sched_layers = 0;
+      sched_padded = 0;
+      sched_window = 0;
+      sc_swaps;
+      peephole_removed = pstats.Peephole.removed;
+      peephole_rounds = pstats.Peephole.rounds;
+    } )
 
 let compile config prog =
   (match config.Config.backend, config.Config.schedule with
@@ -105,90 +129,51 @@ let compile config prog =
     time "schedule" (fun () -> schedule_layers config sched_program)
   in
   lint_run (fun () -> Ph_lint.Check_schedule.check ~program:sched_program layers);
-  let peephole c =
-    if config.Config.peephole then
-      time "peephole" (fun () -> Peephole.optimize_stats c)
-    else c, { Peephole.removed = 0; rounds = 0 }
+  (* stage 2: backend synthesis, its lint checkpoints, then the generic
+     stage (SWAP decomposition on SC, peephole cleanup) *)
+  let n_qubits = Program.n_qubits prog in
+  let logical (r : Emit.result) =
+    lint_run (fun () -> Ph_lint.Check_gates.circuit r.Emit.circuit);
+    `Logical r
   in
-  (* stage 2+3: backend synthesis (plus hardware replay on SC), then the
-     generic cleanup *)
-  let circuit, rotations, initial_layout, final_layout, counters =
-    match config.Config.backend with
-    | Config.Ft ->
-      let r =
-        time "synthesis" (fun () ->
-            match opt with
-            | Some o ->
-              Ph_opt.Phoenix_backend.synthesize_ft
-                ~n_qubits:(Program.n_qubits prog) o
-            | None -> Ft_backend.synthesize ~n_qubits:(Program.n_qubits prog) layers)
-      in
-      lint_run (fun () -> Ph_lint.Check_gates.circuit r.Emit.circuit);
-      let c, pstats = peephole r.Emit.circuit in
-      ( c,
-        r.Emit.rotations,
-        None,
-        None,
-        {
-          Report.sched_layers;
-          sched_padded;
-          sched_window = config.Config.window;
-          sc_swaps = 0;
-          peephole_removed = pstats.Peephole.removed;
-          peephole_rounds = pstats.Peephole.rounds;
-        } )
-    | Config.Sc { coupling; noise } ->
+  let synthesized =
+    match config.Config.backend, opt with
+    | Config.Ft, Some o ->
+      logical (time "synthesis" (fun () -> Ph_opt.Phoenix_backend.synthesize_ft ~n_qubits o))
+    | Config.Ft, None ->
+      logical (time "synthesis" (fun () -> Ft_backend.synthesize ~n_qubits layers))
+    | Config.Sc { coupling; noise }, _ ->
       let r =
         time "synthesis" (fun () ->
             match opt with
             | Some o ->
               (* a noise model only disables caching upstream; the
                  Phoenix router is distance-driven *)
-              Ph_opt.Phoenix_backend.synthesize_sc ~coupling
-                ~n_qubits:(Program.n_qubits prog) o
-            | None ->
-              Sc_backend.synthesize ?noise ~coupling
-                ~n_qubits:(Program.n_qubits prog) layers)
+              Ph_opt.Phoenix_backend.synthesize_sc ~coupling ~n_qubits o
+            | None -> Sc_backend.synthesize ?noise ~coupling ~n_qubits layers)
       in
       lint_run (fun () -> Ph_lint.Check_gates.circuit r.Sc_backend.circuit);
       lint_run (fun () ->
           Ph_lint.Check_sc.check ~coupling ~initial:r.Sc_backend.initial_layout
             ~final:r.Sc_backend.final_layout ~claimed_swaps:r.Sc_backend.swaps
             r.Sc_backend.circuit);
-      let c = time "swap" (fun () -> Circuit.decompose_swaps r.Sc_backend.circuit) in
-      let c, pstats = peephole c in
-      ( c,
-        r.Sc_backend.rotations,
-        Some r.Sc_backend.initial_layout,
-        Some r.Sc_backend.final_layout,
-        {
-          Report.sched_layers;
-          sched_padded;
-          sched_window = config.Config.window;
-          sc_swaps = r.Sc_backend.swaps;
-          peephole_removed = pstats.Peephole.removed;
-          peephole_rounds = pstats.Peephole.rounds;
-        } )
-    | Config.Ion_trap ->
-      (* native lowering already interleaves its own cleanup passes; the
-         generic peephole stage is not run (Config.ion_trap defaults
-         [peephole = false], and CFG001 warns when a config claims
-         otherwise) *)
-      let r =
-        time "synthesis" (fun () ->
-            Ion_trap.synthesize ~n_qubits:(Program.n_qubits prog) layers)
-      in
-      lint_run (fun () -> Ph_lint.Check_gates.circuit r.Emit.circuit);
-      ( r.Emit.circuit,
-        r.Emit.rotations,
-        None,
-        None,
-        {
-          Report.empty_counters with
-          Report.sched_layers;
-          sched_padded;
-          sched_window = config.Config.window;
-        } )
+      `Routed r
+    | Config.Ion_trap, _ ->
+      logical (time "synthesis" (fun () -> Ion_trap.synthesize ~n_qubits layers))
+  in
+  (* ion-trap lowering already interleaves its own cleanup passes, so
+     the generic stage runs no peephole there (Config.ion_trap defaults
+     [peephole = false], and CFG001 warns when a config claims
+     otherwise) *)
+  let peephole =
+    match config.Config.backend with Config.Ion_trap -> false | _ -> config.Config.peephole
+  in
+  let lowered, initial_layout, final_layout, counters =
+    generic_stage ~peephole clock synthesized
+  in
+  let circuit = lowered.Emit.circuit and rotations = lowered.Emit.rotations in
+  let counters =
+    { counters with Report.sched_layers; sched_padded; sched_window = config.Config.window }
   in
   (* stage 4: the final circuit — structural invariants must have
      survived SWAP decomposition and cleanup, and the Pauli-frame

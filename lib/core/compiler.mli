@@ -34,6 +34,23 @@ type output = {
           ([Config.schedule = Phoenix_like]); [None] otherwise *)
 }
 
+(** The generic low-level stage every configuration lowers through —
+    Paulihedral on each backend, every {!Pipelines} baseline, the bench
+    ablations — so their gate counts compare like for like (the role
+    Qiskit L3 plays in the paper).  A [`Routed] circuit (SC: SWAPs not
+    yet decomposed) has its SWAPs decomposed in [clock]'s [swap] span;
+    then, unless [peephole = false] (default [true]),
+    [Peephole.optimize_stats] runs in the [peephole] span.  Returns the
+    lowered circuit with the rotation trace, the initial and final
+    layouts ([`Routed] only), and the pass counters: [sc_swaps] from the
+    routed result, the peephole's removals and rounds, and zero
+    scheduling counters (a scheduling caller fills them in). *)
+val generic_stage :
+  ?peephole:bool ->
+  Report.clock ->
+  [ `Logical of Ph_synthesis.Emit.result | `Routed of Ph_synthesis.Sc_backend.result ] ->
+  Ph_synthesis.Emit.result * Layout.t option * Layout.t option * Report.pass_counters
+
 (** [compile config program].  When [config.lint] is [Warn] or
     [Error_level], every stage boundary runs its [Ph_lint] checker
     (config consistency, IR well-formedness, schedule permutation and

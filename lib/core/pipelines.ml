@@ -25,85 +25,65 @@ let of_output (o : Compiler.output) =
 
 let ph config prog = of_output (Compiler.compile config prog)
 
-(* Trace of a baseline stage: synthesis + peephole only (plus SWAP
-   decomposition on SC); scheduling counters stay zero. *)
-let baseline_trace clock ?(sc_swaps = 0) (pstats : Peephole.stats) =
-  {
-    Report.empty_trace with
-    Report.spans = Report.spans clock;
-    counters =
-      {
-        Report.empty_counters with
-        Report.sc_swaps;
-        peephole_removed = pstats.Peephole.removed;
-        peephole_rounds = pstats.Peephole.rounds;
-      };
-  }
-
-let ft_stage synthesize prog =
+(* A baseline pipeline: [synthesize] times its own calls into the
+   [synthesis] span (routing included), then the generic stage;
+   scheduling counters stay zero. *)
+let baseline synthesize =
   let t0 = Unix.gettimeofday () in
   let clock = Report.clock () in
-  let (r : Emit.result) = Report.time clock "synthesis" (fun () -> synthesize prog) in
-  let circuit, pstats =
-    Report.time clock "peephole" (fun () -> Peephole.optimize_stats r.circuit)
+  let lowered, initial_layout, final_layout, counters =
+    Compiler.generic_stage clock (synthesize clock)
   in
   let seconds = Unix.gettimeofday () -. t0 in
   {
-    circuit;
-    rotations = r.rotations;
-    initial_layout = None;
-    final_layout = None;
-    metrics = Report.of_circuit ~seconds circuit;
-    trace = baseline_trace clock pstats;
+    circuit = lowered.Emit.circuit;
+    rotations = lowered.Emit.rotations;
+    initial_layout;
+    final_layout;
+    metrics = Report.of_circuit ~seconds lowered.Emit.circuit;
+    trace = { Report.empty_trace with Report.spans = Report.spans clock; counters };
   }
 
-let count_swaps circuit =
-  Array.fold_left
-    (fun acc g -> match g with Gate.Swap _ -> acc + 1 | _ -> acc)
-    0 (Circuit.gates circuit)
+let ft synthesize prog =
+  baseline (fun clock -> `Logical (Report.time clock "synthesis" (fun () -> synthesize prog)))
 
-(* SWAP decomposition and cleanup of a routed baseline circuit *)
-let sc_finish clock ~t0 ~rotations ~initial_layout ~final_layout routed =
-  let decomposed = Report.time clock "swap" (fun () -> Circuit.decompose_swaps routed) in
-  let circuit, pstats =
-    Report.time clock "peephole" (fun () -> Peephole.optimize_stats decomposed)
-  in
-  let seconds = Unix.gettimeofday () -. t0 in
-  {
-    circuit;
-    rotations;
-    initial_layout = Some initial_layout;
-    final_layout = Some final_layout;
-    metrics = Report.of_circuit ~seconds circuit;
-    trace = baseline_trace clock ~sc_swaps:(count_swaps routed) pstats;
-  }
+(* a routed circuit under the SC backend's contract: SWAPs not yet
+   decomposed, counted here *)
+let routed ~rotations circuit initial_layout final_layout =
+  `Routed
+    {
+      Sc_backend.circuit;
+      rotations;
+      initial_layout;
+      final_layout;
+      swaps = Circuit.swap_count circuit;
+    }
 
-(* routing counts as part of the synthesis stage *)
-let sc_stage synthesize coupling prog =
-  let t0 = Unix.gettimeofday () in
-  let clock = Report.clock () in
-  let (r : Emit.result) = Report.time clock "synthesis" (fun () -> synthesize prog) in
-  let routed =
-    Report.time clock "synthesis" (fun () -> Router.route ~coupling r.circuit)
-  in
-  sc_finish clock ~t0 ~rotations:r.rotations
-    ~initial_layout:routed.Router.initial_layout
-    ~final_layout:routed.Router.final_layout routed.Router.circuit
+let sc ?initial ?lookahead synthesize coupling prog =
+  baseline (fun clock ->
+      let (r : Emit.result) = Report.time clock "synthesis" (fun () -> synthesize prog) in
+      let rr =
+        Report.time clock "synthesis" (fun () ->
+            Router.route ?initial ?lookahead ~coupling r.circuit)
+      in
+      routed ~rotations:r.rotations rr.Router.circuit rr.Router.initial_layout
+        rr.Router.final_layout)
 
-let tk_ft ?strategy prog = ft_stage (Tk_like.compile ?strategy) prog
-let tk_sc ?strategy coupling prog = sc_stage (Tk_like.compile ?strategy) coupling prog
-let naive_ft prog = ft_stage Naive.synthesize prog
-let naive_sc coupling prog = sc_stage Naive.synthesize coupling prog
+let tk_ft ?strategy prog = ft (Tk_like.compile ?strategy) prog
+let tk_sc ?strategy coupling prog = sc (Tk_like.compile ?strategy) coupling prog
+let naive_ft prog = ft Naive.synthesize prog
+let naive_sc coupling prog = sc Naive.synthesize coupling prog
+
+let naive_sc_trivial coupling prog =
+  sc ~initial:`Identity ~lookahead:1 Naive.synthesize coupling prog
 
 let qaoa_sc coupling prog =
-  let t0 = Unix.gettimeofday () in
-  let clock = Report.clock () in
-  let r =
-    Report.time clock "synthesis" (fun () -> Qaoa_compiler.compile ~coupling prog)
-  in
-  sc_finish clock ~t0 ~rotations:r.Qaoa_compiler.rotations
-    ~initial_layout:r.Qaoa_compiler.initial_layout
-    ~final_layout:r.Qaoa_compiler.final_layout r.Qaoa_compiler.circuit
+  baseline (fun clock ->
+      let r =
+        Report.time clock "synthesis" (fun () -> Qaoa_compiler.compile ~coupling prog)
+      in
+      routed ~rotations:r.Qaoa_compiler.rotations r.Qaoa_compiler.circuit
+        r.Qaoa_compiler.initial_layout r.Qaoa_compiler.final_layout)
 
 let verified run =
   let layouts =

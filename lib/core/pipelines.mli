@@ -1,8 +1,8 @@
-(** The evaluation's end-to-end configurations: every compiler is
-    followed by the same generic stage (peephole cleanup, and routing +
-    SWAP decomposition on the SC backend), mirroring how the paper runs
-    each first-stage tool through Qiskit-L3.  Used by the bench harness
-    and the examples. *)
+(** The evaluation's end-to-end configurations: every compiler (routed
+    onto the device on the SC backend) is followed by the same
+    {!Compiler.generic_stage} — SWAP decomposition, then peephole
+    cleanup — mirroring how the paper runs each first-stage tool through
+    Qiskit-L3.  Used by the bench harness and the examples. *)
 
 open Ph_pauli
 open Ph_pauli_ir
@@ -39,6 +39,11 @@ val naive_ft : Program.t -> run
 
 (** Naive + generic router on an SC device. *)
 val naive_sc : Coupling.t -> Program.t -> run
+
+(** Naive + the router at its weakest: identity initial layout,
+    lookahead 1 — the generic-compiler strength the paper's Figure 11
+    baseline had (bench [fig11], [examples/qaoa_maxcut.ml]). *)
+val naive_sc_trivial : Coupling.t -> Program.t -> run
 
 (** Algorithm-specific QAOA compiler on an SC device (Table 3). *)
 val qaoa_sc : Coupling.t -> Program.t -> run

@@ -69,10 +69,7 @@ let spans clock =
 let delta a b =
   if a = 0 then nan else 100. *. float_of_int (b - a) /. float_of_int a
 
-let geomean = function
-  | [] -> nan
-  | xs ->
-    exp (List.fold_left (fun acc x -> acc +. log x) 0. xs /. float_of_int (List.length xs))
+let geomean = Ph_perf.History.geomean
 
 let pp_metrics fmt m =
   Format.fprintf fmt "cnot=%d single=%d total=%d depth=%d (%.2fs)" m.cnot m.single
@@ -101,18 +98,22 @@ type trace = {
          [Config.analyze] (or a driver attached a post-hoc analysis) *)
 }
 
-let empty_counters =
-  {
-    sched_layers = 0;
-    sched_padded = 0;
-    sched_window = 0;
-    sc_swaps = 0;
-    peephole_removed = 0;
-    peephole_rounds = 0;
-  }
-
 let empty_trace =
-  { spans = []; counters = empty_counters; lint = []; perf = []; analysis = None }
+  {
+    spans = [];
+    counters =
+      {
+        sched_layers = 0;
+        sched_padded = 0;
+        sched_window = 0;
+        sc_swaps = 0;
+        peephole_removed = 0;
+        peephole_rounds = 0;
+      };
+    lint = [];
+    perf = [];
+    analysis = None;
+  }
 
 type record = {
   bench : string;

@@ -64,14 +64,14 @@ val pp_metrics : Format.formatter -> metrics -> unit
     Counters are owned by the passes themselves
     ([Ph_schedule.Depth_oriented.schedule_stats],
     [Ph_synthesis.Sc_backend] result, [Ph_gatelevel.Peephole.optimize_stats])
-    and collected into a {!trace} by [Compiler.compile]; zero means the
-    pass did not run in the chosen configuration. *)
+    and collected into a {!trace} by [Compiler.generic_stage]; zero means
+    the pass did not run in the chosen configuration. *)
 
 type pass_counters = {
   sched_layers : int;  (** layers formed by the scheduling pass *)
   sched_padded : int;  (** padding blocks packed by depth-oriented scheduling *)
   sched_window : int;  (** [Config.window] scan bound the schedulers ran with *)
-  sc_swaps : int;  (** SWAPs inserted by the SC backend (pre-decomposition) *)
+  sc_swaps : int;  (** SWAPs the SC backend or router inserted (pre-decomposition) *)
   peephole_removed : int;  (** gates removed (cancelled + merged) by peephole *)
   peephole_rounds : int;  (** peephole passes until fixpoint *)
 }
@@ -98,7 +98,6 @@ type trace = {
           attached a post-hoc analysis; [None] otherwise *)
 }
 
-val empty_counters : pass_counters
 val empty_trace : trace
 
 (** One row of a machine-readable bench report: benchmark × config

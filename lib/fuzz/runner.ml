@@ -18,11 +18,9 @@ type config = {
   dense_limit : int; (* dense-oracle qubit ceiling *)
   max_qubits : int; (* generator ceiling *)
   metamorphic : bool;
-  lint : bool; (* run the per-stage linter on every case *)
   coupling : Ph_hardware.Coupling.t option; (* SC device for the linter *)
   pipelines : Properties.pipeline list;
   out_dir : string option; (* None: don't write artifacts *)
-  shrink_attempts : int;
 }
 
 let default_config ?coupling () =
@@ -39,11 +37,9 @@ let default_config ?coupling () =
     dense_limit = 6;
     max_qubits;
     metamorphic = true;
-    lint = true;
     coupling;
     pipelines = Properties.default_pipelines ?coupling ();
     out_dir = Some "fuzz-failures";
-    shrink_attempts = 800;
   }
 
 type stat = { mutable ran : int; mutable failed : int; mutable seconds : float }
@@ -105,9 +101,7 @@ let evaluate cfg i =
       collect pl.Properties.name (fun () ->
           Properties.check_pipeline ~dense_limit:cfg.dense_limit pl case.Gen.program))
     cfg.pipelines;
-  if cfg.lint then
-    collect "lint" (fun () ->
-        Properties.lint ?coupling:cfg.coupling case.Gen.program);
+  collect "lint" (fun () -> Properties.lint ?coupling:cfg.coupling case.Gen.program);
   collect "opt" (fun () ->
       Properties.opt_preserves ~dense_limit:cfg.dense_limit case.Gen.program);
   if cfg.metamorphic then begin
@@ -135,7 +129,7 @@ let run ?(log = fun _ -> ()) cfg =
   ignore (stat "parser");
   ignore (stat "pauli_ops");
   List.iter (fun pl -> ignore (stat pl.Properties.name)) cfg.pipelines;
-  if cfg.lint then ignore (stat "lint");
+  ignore (stat "lint");
   ignore (stat "opt");
   if cfg.metamorphic then ignore (stat "metamorphic");
   let deadline = if cfg.time_budget_s > 0. then Some (t0 +. cfg.time_budget_s) else None in
@@ -177,8 +171,7 @@ let run ?(log = fun _ -> ()) cfg =
                  case.Gen.id case.Gen.family f.Properties.pipeline
                  f.Properties.check f.Properties.detail);
             let shrunk, shrink =
-              Shrink.minimize ~max_attempts:cfg.shrink_attempts
-                ~reproduces:(reproduces cfg shrink_rng case f)
+              Shrink.minimize ~reproduces:(reproduces cfg shrink_rng case f)
                 case.Gen.program
             in
             let artifact =

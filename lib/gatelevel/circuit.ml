@@ -49,6 +49,9 @@ let cnot_count c =
       | _ -> acc)
     0 c.gates
 
+let swap_count c =
+  Array.fold_left (fun acc g -> match g with Gate.Swap _ -> acc + 1 | _ -> acc) 0 c.gates
+
 let single_qubit_count c =
   Array.fold_left
     (fun acc g -> if Gate.is_two_qubit g then acc else acc + 1)

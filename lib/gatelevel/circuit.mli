@@ -34,6 +34,10 @@ val concat : t -> t -> t
     decomposition), matching post-compilation accounting. *)
 val cnot_count : t -> int
 
+(** Number of [Swap] gates (SWAPs a router inserted, before
+    {!decompose_swaps}). *)
+val swap_count : t -> int
+
 val single_qubit_count : t -> int
 val total_count : t -> int
 

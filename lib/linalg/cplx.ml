@@ -5,12 +5,10 @@ let one = Complex.one
 let i = Complex.i
 
 let make re im = { re; im }
-let of_float re = { re; im = 0. }
 
 let add = Complex.add
 let sub = Complex.sub
 let mul = Complex.mul
-let neg = Complex.neg
 let conj = Complex.conj
 let scale s { re; im } = { re = s *. re; im = s *. im }
 

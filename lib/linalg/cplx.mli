@@ -7,12 +7,10 @@ val one : t
 val i : t
 
 val make : float -> float -> t
-val of_float : float -> t
 
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
-val neg : t -> t
 val conj : t -> t
 val scale : float -> t -> t
 

@@ -33,8 +33,6 @@ val kron : t -> t -> t
 (** Conjugate transpose. *)
 val dagger : t -> t
 
-val transpose : t -> t
-
 val trace : t -> Cplx.t
 
 (** Frobenius norm of the difference. *)

@@ -23,7 +23,6 @@ let info ~code location message = { severity = Info; code; location; message }
 let is_error d = d.severity = Error
 let errors ds = List.filter is_error ds
 let warnings ds = List.filter (fun d -> d.severity = Warning) ds
-let infos ds = List.filter (fun d -> d.severity = Info) ds
 
 type level = Off | Warn | Error_level
 

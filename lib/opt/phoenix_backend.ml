@@ -64,16 +64,10 @@ let synthesize_ft ~n_qubits (pass : Pass.t) =
 let synthesize_sc ~coupling ~n_qubits (pass : Pass.t) =
   let r = synthesize_ft ~n_qubits pass in
   let routed = Ph_baselines.Router.route ~coupling r.Emit.circuit in
-  let swaps =
-    Array.fold_left
-      (fun acc g -> match g with Gate.Swap _ -> acc + 1 | _ -> acc)
-      0
-      (Circuit.gates routed.Ph_baselines.Router.circuit)
-  in
   {
     Sc_backend.circuit = routed.Ph_baselines.Router.circuit;
     rotations = r.Emit.rotations;
     initial_layout = routed.Ph_baselines.Router.initial_layout;
     final_layout = routed.Ph_baselines.Router.final_layout;
-    swaps;
+    swaps = Circuit.swap_count routed.Ph_baselines.Router.circuit;
   }

@@ -9,6 +9,3 @@ let equal a b = Pauli_string.equal a.str b.str && a.coeff = b.coeff
 let compare_lex ?rank a b =
   let c = Pauli_string.compare_lex ?rank a.str b.str in
   if c <> 0 then c else Stdlib.compare a.coeff b.coeff
-
-let pp fmt t =
-  Format.fprintf fmt "(%a, %s)" Pauli_string.pp t.str (Float_text.repr t.coeff)

@@ -14,5 +14,3 @@ val equal : t -> t -> bool
 (** Lexicographic order on the underlying strings (coefficients break
     ties). *)
 val compare_lex : ?rank:(Pauli.t -> int) -> t -> t -> int
-
-val pp : Format.formatter -> t -> unit

@@ -80,12 +80,19 @@ let mutually_commuting b =
   in
   go b.terms
 
-let pp fmt b =
-  let pp_param fmt p =
-    match p.label with
-    | Some l -> Format.fprintf fmt "%s" l
-    | None -> Format.fprintf fmt "%s" (Float_text.repr p.value)
-  in
-  Format.fprintf fmt "{";
-  List.iter (fun t -> Format.fprintf fmt "%a, " Pauli_term.pp t) b.terms;
-  Format.fprintf fmt "%a}" pp_param b.param
+let to_buffer ~param ~sorted buf b =
+  let b = if sorted then sort_terms_lex b else b in
+  Buffer.add_char buf '{';
+  List.iter
+    (fun (t : Pauli_term.t) ->
+      Buffer.add_char buf '(';
+      Buffer.add_string buf (Pauli_string.to_string t.str);
+      Buffer.add_string buf ", ";
+      Buffer.add_string buf (Float_text.repr t.coeff);
+      Buffer.add_string buf "), ")
+    b.terms;
+  Buffer.add_string buf
+    (match param, b.param.label with
+    | `Label, Some l -> l
+    | _ -> Float_text.repr b.param.value);
+  Buffer.add_char buf '}'

@@ -67,4 +67,11 @@ val overlap : t -> t -> int
     precondition noted in Section 4.1). *)
 val mutually_commuting : t -> bool
 
-val pp : Format.formatter -> t -> unit
+(** [to_buffer ~param ~sorted buf b] appends [b] in the concrete syntax
+    [{(P, w), …, param}], every float in its shortest round-tripping
+    form.  [param]: [`Label] prints a symbolic parameter by its label
+    (the text re-parses), [`Value] always prints the resolved value.
+    [sorted] prints the terms lex-sorted ({!sort_terms_lex}) rather than
+    as given.  The one printer behind [Parser.to_text], the batch cache
+    key and the certificate block digests. *)
+val to_buffer : param:[ `Label | `Value ] -> sorted:bool -> Buffer.t -> t -> unit

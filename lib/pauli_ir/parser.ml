@@ -180,17 +180,8 @@ let parse ?(params = []) ?default src =
 let to_text prog =
   let buf = Buffer.create 256 in
   List.iter
-    (fun (b : Block.t) ->
-      Buffer.add_char buf '{';
-      List.iter
-        (fun (t : Pauli_term.t) ->
-          Buffer.add_string buf
-            (Printf.sprintf "(%s, %s), " (Pauli_string.to_string t.str)
-               (Float_text.repr t.coeff)))
-        b.terms;
-      (match b.param.label with
-      | Some l -> Buffer.add_string buf l
-      | None -> Buffer.add_string buf (Float_text.repr b.param.value));
-      Buffer.add_string buf "};\n")
+    (fun b ->
+      Block.to_buffer ~param:`Label ~sorted:false buf b;
+      Buffer.add_string buf ";\n")
     (Program.blocks prog);
   Buffer.contents buf

@@ -45,7 +45,3 @@ let block_key (b : Block.t) =
 let same_multiset a b =
   let keys p = List.sort Stdlib.compare (List.map block_key p.blocks) in
   a.n_qubits = b.n_qubits && keys a = keys b
-
-let pp fmt p =
-  Format.fprintf fmt "// %d qubits, %d blocks@." p.n_qubits (block_count p);
-  List.iter (fun b -> Format.fprintf fmt "%a;@." Block.pp b) p.blocks

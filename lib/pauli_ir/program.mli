@@ -28,5 +28,3 @@ val rotations : t -> (Ph_pauli.Pauli_string.t * float) list
     (order-insensitively, comparing term lists and parameter values)?
     Used to validate schedulers. *)
 val same_multiset : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

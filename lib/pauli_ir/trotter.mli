@@ -23,7 +23,3 @@ val second_order :
 (** [qaoa_layer ~n_qubits ~terms ~gamma] puts every term in one block
     sharing the parameter γ (Figure 6c). *)
 val qaoa_layer : n_qubits:int -> terms:Pauli_term.t list -> gamma:float -> Program.t
-
-(** [grouped ~n_qubits groups] builds a UCCSD-style ansatz: each
-    [(terms, param)] group becomes one multi-string block (Figure 6b). *)
-val grouped : n_qubits:int -> (Pauli_term.t list * Block.param) list -> Program.t

@@ -48,18 +48,9 @@ let failed t =
 let canonical_text prog =
   let buf = Buffer.create 256 in
   List.iter
-    (fun (b : Ph_pauli_ir.Block.t) ->
-      Buffer.add_char buf '{';
-      List.iter
-        (fun (t : Ph_pauli.Pauli_term.t) ->
-          Buffer.add_string buf
-            (Printf.sprintf "(%s, %s), "
-               (Ph_pauli.Pauli_string.to_string t.Ph_pauli.Pauli_term.str)
-               (Ph_pauli.Float_text.repr t.Ph_pauli.Pauli_term.coeff)))
-        (Ph_pauli_ir.Block.terms b);
-      Buffer.add_string buf
-        (Ph_pauli.Float_text.repr (Ph_pauli_ir.Block.param b).Ph_pauli_ir.Block.value);
-      Buffer.add_string buf "};\n")
+    (fun b ->
+      Ph_pauli_ir.Block.to_buffer ~param:`Value ~sorted:false buf b;
+      Buffer.add_string buf ";\n")
     (Program.blocks prog);
   Buffer.contents buf
 

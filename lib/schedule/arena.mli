@@ -66,12 +66,8 @@ val candidate : t -> int -> int
 
 (** {1 Row kernels} (allocation-free, counter-free, pure) *)
 
-(** Operator overlap between block [ti]'s tail string and block [hi]'s
-    head string. *)
-val overlap_tail_head : t -> int -> int -> int
-
-(** Best {!overlap_tail_head} of any previous-layer tail against block
-    [hi]'s head — the Algorithm-1 leader affinity. *)
+(** Best operator overlap of any previous-layer tail string against
+    block [hi]'s head string — the Algorithm-1 leader affinity. *)
 val leader_score : t -> int -> int
 
 (** Max accumulated load over a block's active qubits

@@ -82,6 +82,3 @@ val install_signal_handlers : t -> unit
     [analysis_s] once an analyzed compile ran), each summing that
     stage's span wall time over every compiled job's [Report.trace]. *)
 val stats_json : t -> Ph_json.t
-
-(** One-line human summary of {!stats_json} (for the drain log). *)
-val stats_summary : t -> string

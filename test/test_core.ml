@@ -178,11 +178,80 @@ let test_compile_trace () =
   check_int "peephole off reports no removals" 0
     off.Compiler.trace.Report.counters.Report.peephole_removed
 
-let test_compile_trace_sc () =
-  let out = Compiler.compile (Config.sc (Devices.line 5)) sample_program in
-  let c = out.Compiler.trace.Report.counters in
-  check "sc swap counter populated" true (c.Report.sc_swaps >= 0);
-  check "layers formed" true (c.Report.sched_layers > 0)
+(* Every pipeline's pass counters against a recomputation of the circuit
+   its generic stage received (SWAPs not yet decomposed).  On a line
+   device every SC pipeline must route, so [sc_swaps] is nonzero. *)
+let test_pass_counters_every_pipeline () =
+  let open Ph_synthesis in
+  let line = Devices.line 5 in
+  let prog = sample_program and n_qubits = Program.n_qubits sample_program in
+  let qaoa_prog =
+    Program.make 4
+      [
+        Block.make
+          [ term "IIZZ" 1.0; term "ZZII" 1.0; term "ZIIZ" 1.0 ]
+          (Block.symbolic "gamma" 0.4);
+      ]
+  in
+  let gco = Ph_schedule.Gco.schedule prog in
+  let dord = Ph_schedule.Depth_oriented.schedule prog in
+  let routed (r : Emit.result) =
+    (Ph_baselines.Router.route ~coupling:line r.Emit.circuit).Ph_baselines.Router.circuit
+  in
+  let phx = Ph_opt.Pass.run prog in
+  let ph config = Pipelines.ph config prog in
+  (* name, run, stage input, scheduled by Paulihedral *)
+  let rows =
+    [
+      "ph ft", ph (Config.ft ()), (Ft_backend.synthesize ~n_qubits gco).Emit.circuit, true;
+      ( "ph sc",
+        ph (Config.sc line),
+        (Sc_backend.synthesize ~coupling:line ~n_qubits dord).Sc_backend.circuit,
+        true );
+      "ph it", ph (Config.ion_trap ()), (Ion_trap.synthesize ~n_qubits gco).Emit.circuit, true;
+      ( "ph phx",
+        ph (Config.ft ~schedule:Config.Phoenix_like ()),
+        (Ph_opt.Phoenix_backend.synthesize_ft ~n_qubits phx).Emit.circuit,
+        true );
+      ( "ph phx sc",
+        ph (Config.sc ~schedule:Config.Phoenix_like line),
+        (Ph_opt.Phoenix_backend.synthesize_sc ~coupling:line ~n_qubits phx).Sc_backend.circuit,
+        true );
+      "tk ft", Pipelines.tk_ft prog, (Ph_baselines.Tk_like.compile prog).Emit.circuit, false;
+      "tk sc", Pipelines.tk_sc line prog, routed (Ph_baselines.Tk_like.compile prog), false;
+      "naive ft", Pipelines.naive_ft prog, (Naive.synthesize prog).Emit.circuit, false;
+      "naive sc", Pipelines.naive_sc line prog, routed (Naive.synthesize prog), false;
+      ( "qaoa",
+        Pipelines.qaoa_sc line qaoa_prog,
+        (Ph_baselines.Qaoa_compiler.compile ~coupling:line qaoa_prog)
+          .Ph_baselines.Qaoa_compiler.circuit,
+        false );
+    ]
+  in
+  List.iter
+    (fun (name, (run : Pipelines.run), synthesized, scheduled) ->
+      let t = run.Pipelines.trace in
+      let c = t.Report.counters in
+      let check_int what = check_int (name ^ ": " ^ what) in
+      check (name ^ ": spans are Report.stages") true
+        (List.map (fun (sp : Report.span) -> sp.Report.stage) t.Report.spans
+        = Report.stages);
+      check_int "sc_swaps = SWAP gates before decomposition"
+        (Circuit.swap_count synthesized) c.Report.sc_swaps;
+      check (name ^ ": routes on a line iff SC") (run.Pipelines.initial_layout <> None)
+        (c.Report.sc_swaps > 0);
+      check_int "peephole_removed = gate delta across the peephole"
+        (Circuit.length (Circuit.decompose_swaps synthesized)
+        - Circuit.length run.Pipelines.circuit)
+        c.Report.peephole_removed;
+      if scheduled then begin
+        check (name ^ ": layers formed") true (c.Report.sched_layers > 0);
+        check_int "window recorded" Config.default_window c.Report.sched_window
+      end
+      else
+        check_int "baseline scheduling counters"
+          0 (c.Report.sched_layers + c.Report.sched_padded + c.Report.sched_window))
+    rows
 
 (* --- Pipelines --- *)
 
@@ -260,7 +329,8 @@ let () =
           Alcotest.test_case "schedules" `Quick test_compile_schedules_differ;
           Alcotest.test_case "peephole toggle" `Quick test_peephole_toggle;
           Alcotest.test_case "trace telemetry" `Quick test_compile_trace;
-          Alcotest.test_case "trace telemetry (sc)" `Quick test_compile_trace_sc;
+          Alcotest.test_case "pass counters, every pipeline" `Quick
+            test_pass_counters_every_pipeline;
         ] );
       ( "pipelines",
         [

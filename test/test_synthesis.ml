@@ -40,7 +40,7 @@ let gen_program n =
 
 let arb_program n =
   QCheck.make
-    ~print:(fun p -> Format.asprintf "%a" Program.pp p)
+    ~print:Parser.to_text
     (gen_program n)
 
 (* --- Naive synthesis --- *)
